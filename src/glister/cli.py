@@ -1,7 +1,7 @@
 """Experiment runner CLI: run / active / verify / bench subcommands.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
-arguments.  Set GLISTER_THREADS to cap candidate-scoring parallelism.
+arguments.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +33,11 @@ from .models import (
     forward,
     grad_full,
     init_params,
-    last_layer_grad_sum,
+    last_layer_inputs,
     last_layer_per_sample_grads,
+    last_layer_rows,
+    logit_grads,
+    loss_from_logits,
     loss_value,
     output_width,
     sgd_epoch,
@@ -109,6 +110,12 @@ class GlisterConfig:
             raise ValueError("lambda must be nonnegative")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError("eta must be finite and > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     def resolve_k(self, n: int) -> int:
         if (self.k is None) == (self.budget_frac is None):
@@ -130,25 +137,18 @@ class GlisterConfig:
         return r
 
 
-def _ll_grad_rows(params: ModelParams, x, y, kind: LossKind) -> np.ndarray:
-    """Per-sample last-layer log-likelihood gradients (negated loss grads)."""
-    return -last_layer_per_sample_grads(params, x, y, kind)
-
-
-def _val_ll_and_grad(params: ModelParams, val: Dataset, kind: LossKind):
-    ll = -loss_value(params, val.features, val.labels, kind)
-    grad = -last_layer_grad_sum(params, val.features, val.labels, kind)
-    return ll, grad
-
-
 @dataclass
 class GainState:
-    """Cached state for the linearized validation gain.
+    """Cached state for the linearized validation gain, in factored form.
 
-    `refresh` recomputes both the per-element training gradients and the
-    validation gradient exactly at the current lookahead parameters; within
-    a refresh both tables are frozen, and folding elements into the lookahead
-    declares them stale again.
+    Only the last layer moves in a lookahead, so the penultimate activations
+    `hidden` (h) are fixed for the whole selection, and a candidate's
+    log-likelihood row is ``-[h (x) delta, delta]``, where `logit_grads`
+    (delta) is its loss gradient w.r.t. the logits.  The (n, H*C) row table
+    is never built: a score is ``-eta * (h . (V_W delta) + V_b . delta)``.
+    `refresh` recomputes delta and the validation gradient exactly at the
+    current lookahead; within a refresh both are frozen, and folding elements
+    into the lookahead declares them stale again.
     """
 
     theta_base: np.ndarray
@@ -158,26 +158,37 @@ class GainState:
     kind: LossKind
     eta: float
     params_template: ModelParams
-    per_element_grads: np.ndarray | None = None  # (n_cand, p_last) log-likelihood rows
+    hidden: np.ndarray  # (n_cand, H) penultimate activations
+    logit_grads: np.ndarray | None = None  # (n_cand, C) delta at the last refresh
     val_grad_at_lookahead: np.ndarray | None = None
     val_ll_at_lookahead: float = math.nan
     refresh_count: int = 0
     stale: bool = True
     selected: list[int] = field(default_factory=list)
+    _val_hidden: tuple | None = None  # (val, its penultimate activations)
 
     def lookahead_params(self) -> ModelParams:
         return self.params_template.with_last_layer_vector(self.theta_lookahead)
 
+    def _set_logit_grads(self, params: ModelParams) -> None:
+        w, b = params.layers[-1]
+        self.logit_grads = logit_grads(self.hidden @ w + b, self.cand_labels, self.kind)
+
     def refresh(self, val: Dataset) -> None:
-        """Exact recomputation of the candidate gradient table and the
+        """Exact recomputation of the candidate logit gradients and the
         validation log-likelihood/gradient at the current lookahead."""
         look = self.lookahead_params()
-        self.per_element_grads = _ll_grad_rows(
-            look, self.cand_features, self.cand_labels, self.kind
+        self._set_logit_grads(look)
+        if self._val_hidden is None or self._val_hidden[0] is not val:
+            self._val_hidden = (val, last_layer_inputs(look, val.features))
+        h_v = self._val_hidden[1]
+        w, b = look.layers[-1]
+        z_v = h_v @ w + b
+        delta_v = logit_grads(z_v, val.labels, self.kind)
+        self.val_ll_at_lookahead = -loss_from_logits(z_v, val.labels, self.kind)
+        self.val_grad_at_lookahead = -np.concatenate(
+            [(h_v.T @ delta_v).ravel(), delta_v.sum(axis=0)]
         )
-        ll, grad = _val_ll_and_grad(look, val, self.kind)
-        self.val_ll_at_lookahead = ll
-        self.val_grad_at_lookahead = grad
         self.refresh_count += 1
         self.stale = False
 
@@ -185,10 +196,8 @@ class GainState:
         """Fold candidate gradients into the lookahead; scores go stale."""
         positions = list(int(p) for p in positions)
         if positions:
-            self.theta_lookahead = (
-                self.theta_lookahead
-                + self.eta * self.per_element_grads[positions].sum(axis=0)
-            )
+            rows = -last_layer_rows(self.hidden[positions], self.logit_grads[positions])
+            self.theta_lookahead = self.theta_lookahead + self.eta * rows.sum(axis=0)
             self.selected.extend(positions)
             self.stale = True
 
@@ -198,40 +207,39 @@ def make_gain_state(
 ) -> GainState:
     cand = np.asarray(candidates, dtype=np.int64)
     theta = params.last_layer_vector()
+    cand_features = train.features[cand]
     state = GainState(
         theta_base=theta,
         theta_lookahead=theta.copy(),
-        cand_features=train.features[cand],
+        cand_features=cand_features,
         cand_labels=train.labels[cand],
         kind=kind,
         eta=eta,
         params_template=params,
+        hidden=last_layer_inputs(params, cand_features),
     )
-    # gradient table at the base parameters so elements can be folded before
-    # the first refresh; each refresh recomputes it at the current lookahead
-    state.per_element_grads = _ll_grad_rows(
-        params, state.cand_features, state.cand_labels, kind
-    )
+    # logit grads at the base parameters so elements can be folded before the
+    # first refresh; each refresh recomputes them at the current lookahead
+    state._set_logit_grads(params)
     return state
 
 
 def taylor_gain(state: GainState, e: int) -> float:
     """Linearized marginal gain of candidate position e given the state."""
-    if state.val_grad_at_lookahead is None:
-        raise ValueError("state has never been refreshed")
-    return float(state.eta * (state.per_element_grads[e] @ state.val_grad_at_lookahead))
+    return float(_taylor_gains(state, np.array([int(e)]))[0])
 
 
 def _taylor_gains(state: GainState, positions: np.ndarray) -> np.ndarray:
-    rows = state.per_element_grads[positions]
+    """eta * (candidate row . validation gradient) for each position, with the
+    row kept in its factors h and delta."""
     v = state.val_grad_at_lookahead
-    threads = int(os.environ.get("GLISTER_THREADS", "1") or "1")
-    if threads > 1 and len(positions) >= 4096:
-        chunks = np.array_split(np.arange(len(positions)), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: rows[c] @ v, chunks))
-        return state.eta * np.concatenate(parts)
-    return state.eta * (rows @ v)
+    if v is None:
+        raise ValueError("state has never been refreshed")
+    n_w = state.hidden.shape[1] * state.logit_grads.shape[1]
+    v_w = v[:n_w].reshape(state.hidden.shape[1], -1)
+    delta = state.logit_grads[positions]
+    hv = state.hidden[positions] @ v_w
+    return -state.eta * (np.einsum("ij,ij->i", hv, delta) + delta @ v[n_w:])
 
 
 def exact_objective(
@@ -242,7 +250,9 @@ def exact_objective(
     subset = np.asarray(list(subset), dtype=np.int64)
     theta = params.last_layer_vector()
     if subset.size:
-        rows = _ll_grad_rows(params, train.features[subset], train.labels[subset], kind)
+        rows = -last_layer_per_sample_grads(
+            params, train.features[subset], train.labels[subset], kind
+        )
         theta = theta + eta * rows.sum(axis=0)
     look = params.with_last_layer_vector(theta)
     return -loss_value(look, val.features, val.labels, kind)
@@ -272,10 +282,7 @@ def exact_gain(
 
 def _augmented_last_inputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Penultimate activations with a constant 1 column (the bias input)."""
-    h = x
-    for li, (w, b) in enumerate(params.layers[:-1]):
-        z = h @ w + b
-        h = np.maximum(z, 0.0) if params.activation == "relu" else z
+    h = last_layer_inputs(params, x)
     return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
 
 
@@ -464,10 +471,9 @@ def greedy_dss(
     remaining = np.arange(n_cand)
 
     if k_gain > 0:
-        r = cfg.resolve_r(k_total)
+        # the random mixing mode leaves only k_gain picks to spread over rounds
+        r = min(cfg.resolve_r(k_total), k_gain)
         base = k_gain // r
-        if base == 0:
-            raise ValueError("r too large for k")
         counts = [base] * (r - 1) + [k_gain - base * (r - 1)]
         for count in counts:
             state.refresh(val)
@@ -479,23 +485,18 @@ def greedy_dss(
             scores = _taylor_gains(state, pool) + _regularizer_marginals(
                 reg, cfg.lam, pool, order
             )
+            # best score first, ties to the lower position
+            ranked = pool[np.lexsort((pool, -np.asarray(scores, dtype=np.float64)))]
             if cfg.greedy == "randomized":
-                picked = []
-                live = pool.copy()
-                live_scores = np.asarray(scores, dtype=np.float64).copy()
-                for _ in range(count):
-                    top = np.lexsort((live, -live_scores))[: min(k_total, len(live))]
-                    sel = int(rng.randint(len(top)))
-                    pos = int(top[sel])
-                    picked.append(int(live[pos]))
-                    keep = np.ones(len(live), dtype=bool)
-                    keep[pos] = False
-                    live = live[keep]
-                    live_scores = live_scores[keep]
-                picked = np.array(picked, dtype=np.int64)
+                # each pick is uniform over the top k_total still unpicked;
+                # removing one entry leaves the rest of the ranking in order
+                live = ranked.tolist()
+                picked = np.array(
+                    [live.pop(int(rng.randint(min(k_total, len(live))))) for _ in range(count)],
+                    dtype=np.int64,
+                )
             else:
-                ranked = np.lexsort((pool, -np.asarray(scores, dtype=np.float64)))
-                picked = pool[ranked[:count]]
+                picked = ranked[:count]
             state.add(picked)
             order.extend(int(p) for p in picked)
             mask = np.ones(len(remaining), dtype=bool)

@@ -213,6 +213,17 @@ class ActiveConfig:
         return Path(self.raw["output_dir"])
 
 
+def _finite_positive(value) -> bool:
+    """True for a JSON number (not a bool) that is finite and > 0 as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(value) and value > 0
+
+
 def _validate(raw: dict, allowed: set, active: bool) -> None:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -235,6 +246,12 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
         raise ConfigError("dataset.kind must be 'synthetic' or 'libsvm'")
     if raw.get("loss", "cross_entropy") not in [k.value for k in LossKind]:
         raise ConfigError(f"unknown loss {raw.get('loss')!r}")
+    if "lr" in raw and not _finite_positive(raw["lr"]):
+        raise ConfigError("lr must be a finite number > 0")
+    if raw.get("eta") is not None and not _finite_positive(raw["eta"]):
+        raise ConfigError("eta must be null or a finite number > 0")
+    if "batch_size" in raw and not (_finite_positive(raw["batch_size"]) and raw["batch_size"] >= 1):
+        raise ConfigError("batch_size must be a number >= 1")
     strategies = raw["strategies"]
     valid = ACQUIRE_STRATEGIES if active else STRATEGIES
     bad = [s for s in strategies if s not in valid]

@@ -23,9 +23,13 @@ __all__ = [
     "ModelSpec",
     "init_params",
     "forward",
+    "last_layer_inputs",
     "loss_value",
+    "loss_from_logits",
+    "logit_grads",
     "grad_full",
     "last_layer_per_sample_grads",
+    "last_layer_rows",
     "last_layer_grad_sum",
     "sgd_epoch",
     "hypothesized_labels",
@@ -167,6 +171,13 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _forward_cached(params, x)[1][-1]
 
 
+def last_layer_inputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Penultimate activations h, the input of the final layer, shape (n, H):
+    x itself for a single linear layer."""
+    x = np.asarray(x, dtype=np.float64)
+    return _forward_cached(params, x)[1][-2]
+
+
 def _signs(y: np.ndarray) -> np.ndarray:
     return 2.0 * y.astype(np.float64) - 1.0
 
@@ -191,7 +202,11 @@ def _softplus(v: np.ndarray) -> np.ndarray:
 
 def loss_value(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind) -> float:
     """Sum of per-sample losses on (x, y)."""
-    z = forward(params, np.asarray(x, dtype=np.float64))
+    return loss_from_logits(forward(params, np.asarray(x, dtype=np.float64)), y, kind)
+
+
+def loss_from_logits(z: np.ndarray, y: np.ndarray, kind: LossKind) -> float:
+    """Sum of per-sample losses given the logits z = forward(params, x)."""
     y = _check_labels(y, kind, z.shape[1])
     if kind == LossKind.CROSS_ENTROPY:
         lse = log_sum_exp_rows(z)
@@ -210,8 +225,9 @@ def loss_value(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind
     raise ValueError(f"unknown loss kind {kind}")
 
 
-def _logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Per-sample dLoss/dlogits, shape like z."""
+def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Per-sample dLoss/dlogits (delta), shape like z."""
+    y = _check_labels(y, kind, z.shape[1])
     if kind == LossKind.CROSS_ENTROPY:
         shift = z - z.max(axis=1, keepdims=True)
         e = np.exp(shift)
@@ -238,8 +254,7 @@ def grad_full(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind)
     (dW, db) matching `params.layers`."""
     x = np.asarray(x, dtype=np.float64)
     pre, acts = _forward_cached(params, x)
-    y = _check_labels(y, kind, acts[-1].shape[1])
-    delta = _logit_grads(acts[-1], y, kind)
+    delta = logit_grads(acts[-1], y, kind)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
         h_in = acts[li]
@@ -270,11 +285,15 @@ def last_layer_per_sample_grads(
     the final layer, laid out as [W row-major, b]."""
     x = np.asarray(x, dtype=np.float64)
     pre, acts = _forward_cached(params, x)
-    y = _check_labels(y, kind, acts[-1].shape[1])
-    delta = _logit_grads(acts[-1], y, kind)  # (n, C)
-    h = acts[-2]  # penultimate activation, (n, H)
+    delta = logit_grads(acts[-1], y, kind)  # (n, C)
+    return last_layer_rows(acts[-2], delta)
+
+
+def last_layer_rows(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per-sample last-layer gradients [h (x) delta row-major, delta] from the
+    penultimate activations h (n, H) and the logit gradients delta (n, C)."""
     outer = h[:, :, None] * delta[:, None, :]  # (n, H, C)
-    return np.concatenate([outer.reshape(len(y), -1), delta], axis=1)
+    return np.concatenate([outer.reshape(len(delta), -1), delta], axis=1)
 
 
 def last_layer_grad_sum(

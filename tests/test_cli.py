@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from glister.cli import cmd_active, cmd_bench, cmd_run, cmd_verify, main
 from glister.core import RunTrace
 from glister.experiments import (
@@ -90,6 +92,28 @@ def test_unknown_strategy_rejected(tmp_path):
 
 def test_bad_budget_rejected(tmp_path):
     path, _ = base_config(tmp_path, budgets=[1.5])
+    assert cmd_run(str(path)) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lr": float("nan")},
+        {"lr": 0.0},
+        {"lr": -0.1},
+        {"lr": None},
+        {"lr": 10**400},
+        {"lr": "0.05"},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"eta": 0.0},
+        {"batch_size": 0},
+        {"batch_size": -3},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
+)
+def test_bad_optimizer_settings_rejected(tmp_path, bad):
+    path, _ = base_config(tmp_path, **bad)
     assert cmd_run(str(path)) == 2
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glister.core import (
+    _SELECT_STREAM,
     GlisterConfig,
     exact_gain,
     exact_objective,
@@ -19,7 +20,15 @@ from glister.core import (
 )
 from glister.core import EpochRecord, RunTrace
 from glister.data import SplitSpec, gen_synthetic, split
-from glister.models import LossKind, ModelSpec, init_params, output_width, sgd_epoch
+from glister.models import (
+    LossKind,
+    ModelSpec,
+    init_params,
+    last_layer_grad_sum,
+    last_layer_per_sample_grads,
+    output_width,
+    sgd_epoch,
+)
 from glister.numerics import SeededRng
 from glister.submodular import exhaustive_max, from_callable
 
@@ -46,8 +55,8 @@ def test_taylor_gain_zero_row(blob_data):
     train, val, _ = blob_data
     params = linear_params(train)
     state = fresh_state(train, val, params)
-    state.per_element_grads = state.per_element_grads.copy()
-    state.per_element_grads[5] = 0.0
+    state.logit_grads = state.logit_grads.copy()
+    state.logit_grads[5] = 0.0
     assert taylor_gain(state, 5) == 0.0
 
 
@@ -56,23 +65,94 @@ def test_taylor_gain_linear_in_row(blob_data):
     params = linear_params(train)
     state = fresh_state(train, val, params)
     g = taylor_gain(state, 3)
-    state.per_element_grads = state.per_element_grads.copy()
-    state.per_element_grads[3] *= 2.0
+    state.logit_grads = state.logit_grads.copy()
+    state.logit_grads[3] *= 2.0
     assert taylor_gain(state, 3) == pytest.approx(2 * g, rel=1e-12)
 
 
 def test_gain_state_lookahead_invariant(blob_data):
     train, val, _ = blob_data
     params = linear_params(train)
-    state = make_gain_state(params, train, np.arange(train.n), LossKind.CROSS_ENTROPY, 0.05)
+    kind = LossKind.CROSS_ENTROPY
+    state = make_gain_state(params, train, np.arange(train.n), kind, 0.05)
     state.refresh(val)
     state.add([1, 4, 9])
-    expect = state.theta_base + 0.05 * state.per_element_grads[[1, 4, 9]].sum(axis=0)
+    rows = -last_layer_per_sample_grads(params, train.features, train.labels, kind)
+    expect = state.theta_base + 0.05 * rows[[1, 4, 9]].sum(axis=0)
     assert np.allclose(state.theta_lookahead, expect, atol=1e-10)
     assert state.stale
     state.refresh(val)
     assert not state.stale
     assert state.refresh_count == 2
+
+
+def table_greedy_dss(train, val, params, cfg, k):
+    """GreedyDSS scored from the full per-sample gradient table, with the
+    randomized variant re-sorting the pool on every pick: the reference for
+    the factored state (regularizer "none" only)."""
+    eta = cfg.lr if cfg.eta is None else cfg.eta
+    rng = SeededRng(cfg.seed).split(_SELECT_STREAM)
+    theta = params.last_layer_vector()
+    remaining = np.arange(train.n)
+    order = []
+    r = cfg.resolve_r(k)
+    base = k // r
+    for count in [base] * (r - 1) + [k - base * (r - 1)]:
+        look = params.with_last_layer_vector(theta)
+        table = -last_layer_per_sample_grads(look, train.features, train.labels, cfg.loss)
+        v = -last_layer_grad_sum(look, val.features, val.labels, cfg.loss)
+        pool = remaining
+        if cfg.greedy == "stochastic":
+            per_step = int(math.ceil((train.n / k) * math.log(1.0 / cfg.epsilon)))
+            s = min(len(remaining), max(count * per_step, count))
+            pool = remaining[np.sort(rng.choice_no_replace(len(remaining), s))]
+        scores = eta * (table[pool] @ v)
+        if cfg.greedy == "randomized":
+            picked = []
+            live, live_scores = pool.copy(), scores.copy()
+            for _ in range(count):
+                top = np.lexsort((live, -live_scores))[: min(k, len(live))]
+                pos = int(top[int(rng.randint(len(top)))])
+                picked.append(int(live[pos]))
+                live = np.delete(live, pos)
+                live_scores = np.delete(live_scores, pos)
+            picked = np.array(picked, dtype=np.int64)
+        else:
+            picked = pool[np.lexsort((pool, -scores))[:count]]
+        theta = theta + eta * table[picked].sum(axis=0)
+        order.extend(int(p) for p in picked)
+        remaining = np.setdiff1d(remaining, picked)
+    return order
+
+
+@pytest.mark.parametrize("arch", ["logistic", "mlp"])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_factored_state_matches_gradient_table(blob_data, kind, arch):
+    train, val, _ = blob_data
+    spec = ModelSpec(arch, hidden=8)
+    dims = spec.layer_dims(train.d, output_width(kind, train.num_classes))
+    params = init_params(dims, "relu", SeededRng(11))
+    eta = 0.05
+    state = make_gain_state(params, train, np.arange(train.n), kind, eta)
+    state.add([0, 7])
+    state.refresh(val)
+    look = state.lookahead_params()
+    table = -last_layer_per_sample_grads(look, train.features, train.labels, kind)
+    v = -last_layer_grad_sum(look, val.features, val.labels, kind)
+    assert np.array_equal(state.val_grad_at_lookahead, v)
+    expect = eta * (table @ v)
+    scores = np.array([taylor_gain(state, e) for e in range(train.n)])
+    assert np.allclose(scores, expect, rtol=1e-10, atol=1e-10 * np.abs(expect).max())
+
+    before = state.theta_lookahead
+    state.add([1, 4, 9])
+    assert np.array_equal(state.theta_lookahead, before + eta * table[[1, 4, 9]].sum(axis=0))
+
+    for greedy in ("naive", "stochastic", "randomized"):
+        cfg = GlisterConfig(k=12, refreshes=3, lr=eta, greedy=greedy, loss=kind, seed=5)
+        assert greedy_dss(train, val, params, cfg) == table_greedy_dss(
+            train, val, params, cfg, 12
+        ), greedy
 
 
 def test_exact_objective_eta_zero_constant(blob_data):
@@ -180,6 +260,17 @@ def test_greedy_dss_random_mixing_counts(blob_data):
     gain_sel = greedy_dss(train, val, params, gain_cfg)
     assert sel[:18] == gain_sel
     assert len(set(sel[18:]) - set(gain_sel)) == 2
+
+
+def test_greedy_dss_random_mixing_clamps_refreshes(blob_data):
+    train, val, _ = blob_data
+    params = linear_params(train)
+    # round(0.3 * 10) = 3 gain picks cannot fill 5 refresh rounds; r drops to 3
+    cfg = GlisterConfig(k=10, refreshes=5, lr=0.01, regularizer="random", lam=0.3, seed=3)
+    sel = greedy_dss(train, val, params, cfg)
+    assert len(sel) == 10 and len(set(sel)) == 10
+    gain_sel = greedy_dss(train, val, params, GlisterConfig(k=3, refreshes=3, lr=0.01, seed=3))
+    assert sel[:3] == gain_sel
 
 
 def test_greedy_dss_fl_regularizer_changes_selection(blob_data):
@@ -328,18 +419,6 @@ def test_subset_digest_order_invariant():
     assert subset_digest([1, 2]) != subset_digest([1, 3])
 
 
-def test_scoring_thread_cap_is_bit_deterministic(monkeypatch):
-    # chunked parallel scoring must merge into exactly the serial result
-    full = gen_synthetic("separable-2", 2500, seed=6)
-    params = linear_params(full)
-    cfg = GlisterConfig(k=50, refreshes=2, lr=0.01, seed=3)
-    monkeypatch.delenv("GLISTER_THREADS", raising=False)
-    serial = greedy_dss(full, full.take(range(100)), params, cfg)
-    monkeypatch.setenv("GLISTER_THREADS", "4")
-    threaded = greedy_dss(full, full.take(range(100)), params, cfg)
-    assert serial == threaded
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         GlisterConfig(regularizer="bogus")
@@ -351,3 +430,24 @@ def test_config_validation():
         GlisterConfig().resolve_k(100)
     assert GlisterConfig(budget_frac=0.3).resolve_k(100) == 30
     assert GlisterConfig(k=100).resolve_r(100) == 3  # ceil(0.03 * 100)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lr": 0.0},
+        {"lr": -0.1},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"eta": 0.0},
+        {"eta": -1.0},
+        {"batch_size": 0},
+        {"batch_size": -3},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_config_rejects_bad_optimizer_settings(bad):
+    with pytest.raises(ValueError):
+        GlisterConfig(k=10, **bad)

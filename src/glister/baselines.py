@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import stratified_random_subset
 from .data import Dataset
 from .models import LossKind, ModelParams, last_layer_per_sample_grads
 from .numerics import SeededRng
-from .submodular import (
-    MatroidQuota,
-    SetFunctionOracle,
-    cross_facility_location,
-    lazy_greedy,
-)
+from .submodular import MatroidQuota, cross_facility_location, facility_location, lazy_greedy
 
 __all__ = [
     "STRATEGIES",
@@ -45,51 +41,16 @@ def random_subset(
         raise ValueError("budget out of range")
     if match_distribution is None:
         return sorted(int(i) for i in rng.choice_no_replace(train.n, k))
-    quota = MatroidQuota.from_proportions(
-        match_distribution.labels, train.num_classes, k
+    return stratified_random_subset(
+        train.labels, train.num_classes, k, rng, reference=match_distribution.labels
     )
-    out: list[int] = []
-    for c, q in sorted(quota.per_class.items()):
-        rows = np.flatnonzero(train.labels == c)
-        if len(rows) < q:
-            raise ValueError(f"class {c} cannot satisfy its quota of {q}")
-        out.extend(int(rows[i]) for i in np.sort(rng.choice_no_replace(len(rows), q)))
-    return sorted(out)
-
-
-class _GradFacilityLocation(SetFunctionOracle):
-    """Facility location in gradient space: sim(i, j) = d_max - |g_i - g_j|^2."""
-
-    def __init__(self, sim: np.ndarray):
-        super().__init__(sim.shape[0], monotone=True)
-        self._sim = sim
-
-    def _coverage(self, subset) -> np.ndarray:
-        if len(subset) == 0:
-            return np.zeros(self._sim.shape[1])
-        return self._sim[np.asarray(list(subset), dtype=np.int64)].max(axis=0)
-
-    def value(self, subset) -> float:
-        return float(self._coverage(subset).sum())
-
-    def marginals(self, candidates, subset) -> np.ndarray:
-        cov = self._coverage(subset)
-        cand = np.asarray(list(candidates), dtype=np.int64)
-        return np.maximum(self._sim[cand] - cov[None, :], 0.0).sum(axis=1)
-
-    def marginal(self, e: int, subset) -> float:
-        return float(self.marginals([int(e)], subset)[0])
 
 
 def craig_subset(train: Dataset, params: ModelParams, k: int, kind: LossKind) -> list[int]:
     """Gradient-matching selection: facility location over last-layer
     per-sample gradient similarity, lazy greedy, uniform weights."""
     grads = last_layer_per_sample_grads(params, train.features, train.labels, kind)
-    sq = np.einsum("ij,ij->i", grads, grads)
-    dists = np.clip(sq[:, None] + sq[None, :] - 2.0 * (grads @ grads.T), 0.0, None)
-    np.fill_diagonal(dists, 0.0)
-    sim = float(dists.max()) - dists
-    return list(lazy_greedy(_GradFacilityLocation(sim), k))
+    return list(lazy_greedy(facility_location(grads), k))
 
 
 def knn_submod_subset(train: Dataset, reference: Dataset, k: int) -> list[int]:

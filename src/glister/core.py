@@ -43,7 +43,7 @@ from .models import (
     sgd_epoch,
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
-from .submodular import SetFunctionOracle, _ModularMinusCut, facility_location
+from .submodular import MatroidQuota, SetFunctionOracle, _ModularMinusCut, facility_location
 
 __all__ = [
     "GlisterConfig",
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 REGULARIZERS = ("none", "facility_location", "random", "diversity")
-GREEDY_VARIANTS = ("naive", "lazy", "stochastic", "randomized")
+GREEDY_VARIANTS = ("naive", "stochastic", "randomized")
 
 # dedicated sub-stream indices so selection randomness never perturbs the
 # SGD shuffle stream (epoch t shuffles with split(t))
@@ -97,7 +97,6 @@ class GlisterConfig:
     epsilon: float = 0.01
     loss: LossKind = LossKind.CROSS_ENTROPY
     seed: int = 0
-    select_at_start: bool = True
 
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
@@ -108,6 +107,8 @@ class GlisterConfig:
             raise ValueError("select_every must be >= 1")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+        if self.regularizer == "random" and self.lam > 1:
+            raise ValueError("random regularizer needs lambda in [0, 1]")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -453,8 +454,6 @@ def greedy_dss(
     k_rand = 0
     if cfg.regularizer == "random":
         # mixing mode: lam is the share picked by gain, rest uniform random
-        if not 0.0 <= cfg.lam <= 1.0:
-            raise ValueError("random regularizer needs lambda in [0, 1]")
         k_gain = int(round(cfg.lam * k_total))
         k_rand = k_total - k_gain
 
@@ -545,16 +544,18 @@ class RunTrace:
         return [r for r in self.records if r.dot_vt is not None]
 
 
-def stratified_random_subset(labels: np.ndarray, num_classes: int, k: int, rng: SeededRng) -> list[int]:
-    """Class-stratified uniform subset with largest-remainder quotas."""
-    from .submodular import MatroidQuota
-
-    quota = MatroidQuota.from_proportions(labels, num_classes, k)
+def stratified_random_subset(
+    labels: np.ndarray, num_classes: int, k: int, rng: SeededRng, reference=None
+) -> list[int]:
+    """Class-stratified uniform subset of the rows of `labels`, with
+    largest-remainder quotas from the class proportions of `reference`
+    (default: `labels` itself)."""
+    quota = MatroidQuota.from_proportions(labels if reference is None else reference, num_classes, k)
     out: list[int] = []
     for c, q in sorted(quota.per_class.items()):
         rows = np.flatnonzero(labels == c)
         if len(rows) < q:
-            raise ValueError(f"class {c} has too few rows for its quota")
+            raise ValueError(f"class {c} has too few rows for its quota of {q}")
         out.extend(int(rows[i]) for i in np.sort(rng.choice_no_replace(len(rows), q)))
     return sorted(out)
 
@@ -565,70 +566,70 @@ def init_model_params(train: Dataset, model_spec: ModelSpec, cfg: GlisterConfig)
     return init_params(dims, "relu", SeededRng(cfg.seed).split(_INIT_STREAM))
 
 
-def _monitor_quantities(params, train, val, subset, kind):
-    g_t = flatten_grads(grad_full(params, train.features[subset], train.labels[subset], kind))
-    g_v = flatten_grads(grad_full(params, val.features, val.labels, kind))
-    nt = float(np.linalg.norm(g_t))
-    nv = float(np.linalg.norm(g_v))
-    dot = float(g_v @ g_t)
-    cos = dot / (nt * nv) if nt > 0 and nv > 0 else 0.0
-    return dot, cos, nt, nv, g_v
+def _descent_monitor(train: Dataset, val: Dataset, kind: LossKind):
+    """Per-selection monitor columns (dot_vt, cos_theta, grad_norm_t,
+    lr_bound, grad_norm_v), with running estimates of the validation-gradient
+    Lipschitz constant and the largest subset-gradient norm for the step-size
+    bound of the descent condition."""
+    lhat = None
+    sigma_t_hat = 0.0
+    prev = None  # (theta, g_v) at the previous selection
+
+    def monitor(params: ModelParams, subset: list[int]) -> tuple:
+        nonlocal lhat, sigma_t_hat, prev
+        g_t = flatten_grads(grad_full(params, train.features[subset], train.labels[subset], kind))
+        g_v = flatten_grads(grad_full(params, val.features, val.labels, kind))
+        nt = float(np.linalg.norm(g_t))
+        nv = float(np.linalg.norm(g_v))
+        dot = float(g_v @ g_t)
+        cos = dot / (nt * nv) if nt > 0 and nv > 0 else 0.0
+        sigma_t_hat = max(sigma_t_hat, nt)
+        theta = np.concatenate([w.ravel() for w, _ in params.layers])
+        if prev is not None:
+            dtheta = float(np.linalg.norm(theta - prev[0]))
+            if dtheta > 0:
+                ratio = float(np.linalg.norm(g_v - prev[1])) / dtheta
+                lhat = ratio if lhat is None else max(lhat, ratio)
+        prev = (theta, g_v)
+        bound = 2.0 * nv * cos / (lhat * sigma_t_hat) if lhat and sigma_t_hat > 0 else math.inf
+        return dot, cos, nt, bound, nv
+
+    return monitor
 
 
-def glister_online_train(
+def _selection_loop(
     train: Dataset,
     val: Dataset,
     test: Dataset,
-    model_spec: ModelSpec,
+    params: ModelParams,
     cfg: GlisterConfig,
     epochs: int,
+    select,
+    every: int,
+    monitor=None,
 ) -> tuple[ModelParams, list[int], RunTrace]:
-    """Select-every-L training: epoch t reselects the subset when
-    t mod L == 0 (including t = 0 unless disabled), then runs one epoch of
-    mini-batch SGD on it.  Wall clock in the trace includes selection time.
+    """Select-every-L training shared by every strategy: epoch t calls
+    ``select(params, rng)`` when t mod `every` == 0, then runs one epoch of
+    mini-batch SGD on the sorted subset.  Selection draws from the stream
+    split(_SELECT_STREAM + t), SGD from split(t).  `sel_s` times only the
+    `select` call; `monitor(params, subset)` then fills the selection
+    epoch's monitor columns.  Wall clock in the trace includes selection.
     """
     if epochs < 1:
         raise ValueError("need at least one epoch")
-    k = cfg.resolve_k(train.n)
     root = SeededRng(cfg.seed)
-    params = init_model_params(train, model_spec, cfg)
     subset: list[int] = []
     trace = RunTrace(lr=cfg.lr)
     start = time.perf_counter()
-    # running estimates for the step-size bound of the descent condition
-    lhat = None
-    sigma_t_hat = 0.0
-    prev_theta = None
-    prev_gv = None
     for t in range(epochs):
         sel_s = 0.0
-        monitor = None
-        do_select = (t % cfg.select_every == 0) and (cfg.select_at_start or t > 0)
-        if t == 0 and not do_select:
-            subset = stratified_random_subset(
-                train.labels, train.num_classes, k, root.split(_SELECT_STREAM)
-            )
-        if do_select or (t == 0 and not subset):
+        columns = None
+        if t % every == 0:
             t0 = time.perf_counter()
-            subset = sorted(
-                greedy_dss(train, val, params, cfg, rng=root.split(_SELECT_STREAM + t), k=k)
-            )
+            subset = sorted(select(params, root.split(_SELECT_STREAM + t)))
             sel_s = time.perf_counter() - t0
-            dot, cos, nt, nv, g_v = _monitor_quantities(params, train, val, subset, cfg.loss)
-            sigma_t_hat = max(sigma_t_hat, nt)
-            theta_flat = np.concatenate([w.ravel() for w, _ in params.layers])
-            if prev_theta is not None:
-                dtheta = float(np.linalg.norm(theta_flat - prev_theta))
-                if dtheta > 0:
-                    ratio = float(np.linalg.norm(g_v - prev_gv)) / dtheta
-                    lhat = ratio if lhat is None else max(lhat, ratio)
-            prev_theta = theta_flat
-            prev_gv = g_v
-            if lhat and sigma_t_hat > 0:
-                bound = 2.0 * nv * cos / (lhat * sigma_t_hat)
-            else:
-                bound = math.inf
-            monitor = (dot, cos, nt, bound, nv)
+            if monitor is not None:
+                columns = monitor(params, subset)
         params = sgd_epoch(
             params, train, subset, cfg.lr, cfg.batch_size, root.split(t), cfg.loss
         )
@@ -642,10 +643,32 @@ def glister_online_train(
             test_acc=accuracy(params, test),
             subset_digest=subset_digest(subset),
         )
-        if monitor is not None:
-            rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = monitor
+        if columns is not None:
+            rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = columns
         trace.records.append(rec)
     return params, subset, trace
+
+
+def glister_online_train(
+    train: Dataset,
+    val: Dataset,
+    test: Dataset,
+    model_spec: ModelSpec,
+    cfg: GlisterConfig,
+    epochs: int,
+) -> tuple[ModelParams, list[int], RunTrace]:
+    """GLISTER-ONLINE: GreedyDSS reselects the subset every `select_every`
+    epochs (from epoch 0), with the descent monitors on each selection."""
+    k = cfg.resolve_k(train.n)
+    params = init_model_params(train, model_spec, cfg)
+
+    def select(params, rng):
+        return greedy_dss(train, val, params, cfg, rng=rng, k=k)
+
+    return _selection_loop(
+        train, val, test, params, cfg, epochs, select, cfg.select_every,
+        _descent_monitor(train, val, cfg.loss),
+    )
 
 
 def monitor_theorem2(trace: RunTrace, tol: float = 1e-7) -> dict:

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,11 @@ from .core import (
     EpochRecord,
     GlisterConfig,
     RunTrace,
-    _SELECT_STREAM,
+    _selection_loop,
     glister_online_train,
     greedy_dss,
     init_model_params,
-    subset_digest,
+    stratified_random_subset,
 )
 from .data import (
     Dataset,
@@ -41,7 +41,7 @@ from .data import (
     split,
     standardize,
 )
-from .models import LossKind, ModelSpec, accuracy, loss_value, sgd_epoch
+from .models import LossKind, ModelSpec, sgd_epoch
 from .numerics import SeededRng
 from .numerics import _mix64 as _mix
 
@@ -137,7 +137,8 @@ def derive_run_seed(config_seed: int, strategy: str, budget_index: int) -> int:
     return _mix((config_seed ^ strat_hash ^ budget_index) & 0xFFFFFFFFFFFFFFFF)
 
 
-_CONFIG_KEYS = {
+# keys shared by `glister run` and `glister active` configs
+_COMMON_KEYS = {
     "schema_version",
     "dataset",
     "split",
@@ -145,8 +146,6 @@ _CONFIG_KEYS = {
     "model",
     "loss",
     "strategies",
-    "budgets",
-    "epochs",
     "select_every",
     "refreshes",
     "r_frac",
@@ -161,34 +160,11 @@ _CONFIG_KEYS = {
     "corruption",
     "output_dir",
 }
+_CONFIG_KEYS = _COMMON_KEYS | {"budgets", "epochs"}
+_ACTIVE_KEYS = _COMMON_KEYS | {"rounds", "batch", "epochs_per_round", "initial_labeled", "filter_mult"}
 
-_ACTIVE_KEYS = {
-    "schema_version",
-    "dataset",
-    "split",
-    "standardize",
-    "model",
-    "loss",
-    "strategies",
-    "rounds",
-    "batch",
-    "epochs_per_round",
-    "initial_labeled",
-    "filter_mult",
-    "select_every",
-    "refreshes",
-    "r_frac",
-    "lr",
-    "batch_size",
-    "eta",
-    "lambda",
-    "regularizer",
-    "greedy",
-    "epsilon",
-    "seeds",
-    "corruption",
-    "output_dir",
-}
+# selection settings read into GlisterConfig, whose constructor checks ranges
+_NUMBER_KEYS = ("select_every", "refreshes", "r_frac", "lr", "batch_size", "eta", "lambda", "epsilon")
 
 
 class ConfigError(ValueError):
@@ -213,15 +189,14 @@ class ActiveConfig:
         return Path(self.raw["output_dir"])
 
 
-def _finite_positive(value) -> bool:
-    """True for a JSON number (not a bool) that is finite and > 0 as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        value = float(value)
-    except OverflowError:
-        return False
-    return math.isfinite(value) and value > 0
+def _is_number(value) -> bool:
+    """True for a JSON number (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """True for a JSON integer (not a bool) >= 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _validate(raw: dict, allowed: set, active: bool) -> None:
@@ -244,14 +219,20 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
             raise ConfigError("libsvm dataset needs a path")
     else:
         raise ConfigError("dataset.kind must be 'synthetic' or 'libsvm'")
-    if raw.get("loss", "cross_entropy") not in [k.value for k in LossKind]:
-        raise ConfigError(f"unknown loss {raw.get('loss')!r}")
-    if "lr" in raw and not _finite_positive(raw["lr"]):
-        raise ConfigError("lr must be a finite number > 0")
-    if raw.get("eta") is not None and not _finite_positive(raw["eta"]):
-        raise ConfigError("eta must be null or a finite number > 0")
-    if "batch_size" in raw and not (_finite_positive(raw["batch_size"]) and raw["batch_size"] >= 1):
-        raise ConfigError("batch_size must be a number >= 1")
+    if not isinstance(raw["seeds"], list) or not raw["seeds"]:
+        raise ConfigError("seeds must be a non-empty list")
+    # loop lengths and sizes
+    counts = ("rounds", "batch", "epochs_per_round", "initial_labeled") if active else ("epochs",)
+    for key in counts:
+        if key in raw and not _is_count(raw[key]):
+            raise ConfigError(f"{key} must be an integer >= 1")
+    for key in _NUMBER_KEYS:
+        if raw.get(key) is not None and not _is_number(raw[key]):
+            raise ConfigError(f"{key} must be a number")
+    try:
+        glister_config(raw, 0, None)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid selection settings: {exc}") from None
     strategies = raw["strategies"]
     valid = ACQUIRE_STRATEGIES if active else STRATEGIES
     bad = [s for s in strategies if s not in valid]
@@ -338,7 +319,7 @@ def glister_config(raw: dict, seed: int, budget: float | None) -> GlisterConfig:
     regularizer = raw.get("regularizer", "none")
     lam = raw.get("lambda")
     if lam is None:
-        lam = _LAMBDA_DEFAULTS[regularizer]
+        lam = _LAMBDA_DEFAULTS.get(regularizer, 0.0)
     return GlisterConfig(
         budget_frac=budget,
         select_every=int(raw.get("select_every", 20)),
@@ -375,47 +356,20 @@ def run_cell(
     strategies select at epoch 0 only, `full` trains on everything."""
     if strategy == "glister":
         return glister_online_train(train, val, test, model_spec, cfg, epochs)
-    root = SeededRng(cfg.seed)
-    params = init_model_params(train, model_spec, cfg)
     k = train.n if strategy == "full" else cfg.resolve_k(train.n)
-    trace = RunTrace(lr=cfg.lr)
-    start = time.perf_counter()
-    subset: list[int] = []
-    for t in range(epochs):
-        sel_s = 0.0
-        reselect = t == 0 if strategy != "craig" else t % cfg.select_every == 0
-        if reselect:
-            t0 = time.perf_counter()
-            rng = root.split(_SELECT_STREAM + t)
-            if strategy == "full":
-                subset = list(range(train.n))
-            elif strategy == "random":
-                subset = random_subset(train, k, rng)
-            elif strategy == "random_prior":
-                subset = random_subset(train, k, rng, match_distribution=val)
-            elif strategy == "craig":
-                subset = sorted(craig_subset(train, params, k, cfg.loss))
-            elif strategy == "knnsub_train":
-                subset = sorted(knn_submod_subset(train, train, k))
-            elif strategy == "knnsub_val":
-                subset = sorted(knn_submod_subset(train, val, k))
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            sel_s = time.perf_counter() - t0
-        params = sgd_epoch(params, train, subset, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
-        trace.records.append(
-            EpochRecord(
-                epoch=t,
-                wall_s=time.perf_counter() - start,
-                sel_s=sel_s,
-                train_loss=loss_value(params, train.features[subset], train.labels[subset], cfg.loss),
-                full_train_loss=loss_value(params, train.features, train.labels, cfg.loss),
-                val_loss=loss_value(params, val.features, val.labels, cfg.loss),
-                test_acc=accuracy(params, test),
-                subset_digest=subset_digest(subset),
-            )
-        )
-    return params, subset, trace
+    selectors = {
+        "full": lambda params, rng: range(train.n),
+        "random": lambda params, rng: random_subset(train, k, rng),
+        "random_prior": lambda params, rng: random_subset(train, k, rng, match_distribution=val),
+        "craig": lambda params, rng: craig_subset(train, params, k, cfg.loss),
+        "knnsub_train": lambda params, rng: knn_submod_subset(train, train, k),
+        "knnsub_val": lambda params, rng: knn_submod_subset(train, val, k),
+    }
+    if strategy not in selectors:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    every = cfg.select_every if strategy == "craig" else epochs
+    params = init_model_params(train, model_spec, cfg)
+    return _selection_loop(train, val, test, params, cfg, epochs, selectors[strategy], every)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -474,27 +428,7 @@ def run_active_experiment(config: ActiveConfig) -> dict:
         for seed in raw["seeds"]:
             run_seed = derive_run_seed(int(seed), strategy, 0)
             pool, val, test, max_norm = build_datasets(raw, int(seed))
-            regularizer = raw.get("regularizer", "none")
-            lam = raw.get("lambda")
-            if lam is None:
-                lam = _LAMBDA_DEFAULTS[regularizer]
-            cfg = GlisterConfig(
-                k=batch,
-                select_every=int(raw.get("select_every", 20)),
-                refreshes=raw.get("refreshes"),
-                r_frac=raw.get("r_frac"),
-                eta=raw.get("eta"),
-                lr=float(raw.get("lr", 0.05)),
-                batch_size=int(raw.get("batch_size", 32)),
-                regularizer=regularizer,
-                lam=float(lam),
-                greedy=raw.get("greedy", "naive"),
-                epsilon=float(raw.get("epsilon", 0.01)),
-                loss=LossKind(raw.get("loss", "cross_entropy")),
-                seed=run_seed,
-            )
-            from .core import stratified_random_subset
-
+            cfg = replace(glister_config(raw, run_seed, None), k=batch)
             initial = stratified_random_subset(
                 pool.labels, pool.num_classes, n_initial, SeededRng(run_seed).split(71)
             )

@@ -525,8 +525,9 @@ def active_experiment(seed: int):
 
 def suite_determinism(seed: int = 0) -> list[Check]:
     """Criterion: identical config and seed give bit-identical subset digests
-    and traces (timing columns excluded, as wall-clock is physical)."""
-    from .experiments import trace_to_csv
+    and traces (timing columns excluded, as wall-clock is physical), for
+    glister and for a baseline that reselects (craig)."""
+    from .experiments import run_cell, trace_to_csv
 
     checks = []
     full = gen_synthetic("separable-2", 100, seed + 3)
@@ -548,6 +549,8 @@ def suite_determinism(seed: int = 0) -> list[Check]:
 
     t0, t1 = strip_timing(runs[0][2]), strip_timing(runs[1][2])
     checks.append(Check("traces bit-identical outside timing columns", t0 == t1))
+    craig = [strip_timing(run_cell("craig", train, val, test, spec, cfg, 12)[2]) for _ in range(2)]
+    checks.append(Check("craig traces bit-identical outside timing columns", craig[0] == craig[1]))
     sels = [greedy_dss(train, val, init_model_params(train, spec, cfg), cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))
     return checks

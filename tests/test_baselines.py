@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from glister.baselines import craig_subset, knn_submod_subset, random_subset
+from glister.baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subset
+from glister.core import GlisterConfig
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
-from glister.models import LossKind, ModelParams, init_params
+from glister.experiments import run_cell
+from glister.models import LossKind, ModelParams, ModelSpec, init_params
 from glister.numerics import SeededRng
 from glister.submodular import exhaustive_max, from_callable
 
@@ -130,3 +132,32 @@ def test_knn_submod_k1_per_class_brute_force(data):
 
         best = max(tc, key=lambda i: (cover(i), -i))
         assert chosen == best
+
+
+# per-epoch subset digests (first 12 hex digits) of every strategy on a tiny
+# 4-class run, captured before the strategies shared one select-every-L loop
+PINNED_DIGESTS = {
+    "full": ["315e8ec92e81"] * 5,
+    "random": ["3d86c1a10d20"] * 5,
+    "random_prior": ["2a5604d279c0"] * 5,
+    "craig": ["07950ff5eb1b", "07950ff5eb1b", "69d64b929901", "69d64b929901", "0b1411b6f60a"],
+    "knnsub_train": ["15dc67b8c28a"] * 5,
+    "knnsub_val": ["a3e9d80c1a61"] * 5,
+    "glister": ["f3db7870f38b", "f3db7870f38b", "4f6145d28b6a", "4f6145d28b6a", "4eb0b12e9fdf"],
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_cell_schedule_pinned(strategy):
+    train, val, test = split(gen_synthetic("overlapping-4", 20, seed=2), SplitSpec(0.6, 0.2, 0.2, seed=1))
+    cfg = GlisterConfig(budget_frac=0.25, select_every=2, lr=0.01, batch_size=8, seed=7)
+    _, _, trace = run_cell(strategy, train, val, test, ModelSpec("mlp", hidden=6), cfg, 5)
+    assert [r.subset_digest[:12] for r in trace.records] == PINNED_DIGESTS[strategy]
+    # only glister's selection epochs carry the descent-monitor columns
+    monitored = [0, 2, 4] if strategy == "glister" else []
+    for r in trace.records:
+        columns = (r.dot_vt, r.cos_theta, r.grad_norm_t, r.lr_bound)
+        if r.epoch in monitored:
+            assert all(c is not None for c in columns), r.epoch
+        else:
+            assert all(c is None for c in columns), r.epoch

@@ -109,6 +109,18 @@ def test_bad_budget_rejected(tmp_path):
         {"eta": 0.0},
         {"batch_size": 0},
         {"batch_size": -3},
+        {"epochs": 0},
+        {"epochs": -1},
+        {"epochs": 2.5},
+        {"greedy": "bogus"},
+        {"greedy": "lazy"},
+        {"regularizer": "bogus"},
+        {"select_every": 0},
+        {"epsilon": 2.0},
+        {"lambda": -1},
+        {"regularizer": "random", "lambda": 2.0},
+        {"loss": "bogus"},
+        {"seeds": []},
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -188,6 +200,39 @@ def test_active_cli(tmp_path):
     assert len(lines) == 1 + 3
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert counts == [18, 28, 38]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"rounds": 0},
+        {"initial_labeled": 0},
+        {"batch": 0},
+        {"epochs_per_round": 0},
+        {"rounds": 2.5},
+        {"select_every": 0},
+        {"seeds": []},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
+)
+def test_bad_active_settings_rejected(tmp_path, bad):
+    cfg = {
+        "schema_version": 1,
+        "dataset": {"kind": "synthetic", "name": "separable-2", "n_per_class": 60, "seed": 2},
+        "model": {"arch": "logistic"},
+        "strategies": ["glister", "random"],
+        "rounds": 2,
+        "batch": 10,
+        "epochs_per_round": 2,
+        "initial_labeled": 8,
+        "seeds": [1],
+        "output_dir": str(tmp_path / "active_out"),
+        **bad,
+    }
+    path = tmp_path / "active.json"
+    path.write_text(json.dumps(cfg))
+    assert cmd_active(str(path)) == 2
+    assert not (tmp_path / "active_out").exists()
 
 
 def test_verify_unknown_suite():

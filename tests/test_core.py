@@ -232,21 +232,11 @@ def test_greedy_dss_r_too_large(blob_data):
 def test_greedy_dss_deterministic(blob_data):
     train, val, _ = blob_data
     params = linear_params(train)
-    for greedy in ("naive", "lazy", "stochastic", "randomized"):
+    for greedy in ("naive", "stochastic", "randomized"):
         cfg = GlisterConfig(k=12, refreshes=3, lr=0.01, greedy=greedy, seed=5)
         a = greedy_dss(train, val, params, cfg)
         b = greedy_dss(train, val, params, cfg)
         assert a == b, greedy
-
-
-def test_greedy_dss_lazy_matches_naive(blob_data):
-    train, val, _ = blob_data
-    params = linear_params(train)
-    naive = greedy_dss(train, val, params, GlisterConfig(k=12, refreshes=3, lr=0.01, seed=5))
-    lazy = greedy_dss(
-        train, val, params, GlisterConfig(k=12, refreshes=3, lr=0.01, greedy="lazy", seed=5)
-    )
-    assert naive == lazy
 
 
 def test_greedy_dss_random_mixing_counts(blob_data):
@@ -350,16 +340,6 @@ def test_online_loop_regularizer_none_ignores_lambda(blob_data):
     assert [r.val_loss for r in t0.records] == [r.val_loss for r in t1.records]
 
 
-def test_online_loop_warm_start_when_start_selection_disabled(blob_data):
-    train, val, test = blob_data
-    spec = ModelSpec("logistic")
-    cfg = GlisterConfig(budget_frac=0.25, select_every=4, lr=0.003, batch_size=10,
-                        seed=2, select_at_start=False)
-    _, _, trace = glister_online_train(train, val, test, spec, cfg, epochs=6)
-    assert [r.epoch for r in trace.selection_records()] == [4]
-    assert trace.records[0].subset_digest != trace.records[4].subset_digest
-
-
 def synthetic_trace(rows):
     trace = RunTrace(lr=0.01)
     for i, (val_loss, dot, bound) in enumerate(rows):
@@ -424,6 +404,10 @@ def test_config_validation():
         GlisterConfig(regularizer="bogus")
     with pytest.raises(ValueError):
         GlisterConfig(greedy="bogus")
+    with pytest.raises(ValueError):
+        GlisterConfig(greedy="lazy")
+    with pytest.raises(ValueError):
+        GlisterConfig(regularizer="random", lam=1.5)
     with pytest.raises(ValueError):
         GlisterConfig(k=5, budget_frac=0.2).resolve_k(100)
     with pytest.raises(ValueError):

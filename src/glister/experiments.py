@@ -211,6 +211,8 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
     ds = raw["dataset"]
+    if not isinstance(ds, dict):
+        raise ConfigError("dataset must be a JSON object")
     if ds.get("kind") == "synthetic":
         if ds.get("name") not in SYNTHETIC_KINDS:
             raise ConfigError(f"unknown synthetic dataset {ds.get('name')!r}")
@@ -219,8 +221,11 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
             raise ConfigError("libsvm dataset needs a path")
     else:
         raise ConfigError("dataset.kind must be 'synthetic' or 'libsvm'")
-    if not isinstance(raw["seeds"], list) or not raw["seeds"]:
+    seeds = raw["seeds"]
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+        raise ConfigError("seeds must be integers")
     # loop lengths and sizes
     counts = ("rounds", "batch", "epochs_per_round", "initial_labeled") if active else ("epochs",)
     for key in counts:
@@ -234,12 +239,16 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid selection settings: {exc}") from None
     strategies = raw["strategies"]
+    if not isinstance(strategies, list):
+        raise ConfigError("strategies must be a list")
     valid = ACQUIRE_STRATEGIES if active else STRATEGIES
-    bad = [s for s in strategies if s not in valid]
+    bad = [s for s in strategies if not isinstance(s, str) or s not in valid]
     if bad:
         raise ConfigError(f"unknown strategies: {bad}")
     if not active:
         budgets = raw.get("budgets", [])
+        if not isinstance(budgets, list) or not all(_is_number(b) for b in budgets):
+            raise ConfigError("budgets must be a list of numbers")
         if not all(0.0 < b <= 1.0 for b in budgets):
             raise ConfigError("budget fractions must lie in (0, 1]")
         if any(s != "full" for s in strategies) and not budgets:

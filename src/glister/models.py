@@ -151,13 +151,18 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
     """Forward pass keeping pre- and post-activation values for backprop."""
     if x.shape[1] != params.input_dim:
         raise ValueError("input width does not match first layer")
+    return _forward_layers(params.layers, params.activation, x)
+
+
+def _forward_layers(layers, activation: str, x: np.ndarray):
+    """`_forward_cached` on raw (W, b) pairs, with no shape check."""
     acts = [x]
     pre = []
     h = x
-    for li, (w, b) in enumerate(params.layers):
+    for li, (w, b) in enumerate(layers):
         z = h @ w + b
         pre.append(z)
-        if li < len(params.layers) - 1 and params.activation == "relu":
+        if li < len(layers) - 1 and activation == "relu":
             h = np.maximum(z, 0.0)
         else:
             h = z
@@ -253,29 +258,27 @@ def grad_full(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind)
     """Analytic gradient of `loss_value` w.r.t. every layer; returns a list of
     (dW, db) matching `params.layers`."""
     x = np.asarray(x, dtype=np.float64)
-    pre, acts = _forward_cached(params, x)
+    return _backprop(params.layers, params.activation, _forward_cached(params, x), y, kind)
+
+
+def _backprop(layers, activation: str, cached, y: np.ndarray, kind: LossKind):
+    """Per-layer (dW, db) of the summed loss from a cached forward pass over
+    raw (W, b) pairs; `grad_full` and `sgd_epoch` share it."""
+    pre, acts = cached
     delta = logit_grads(acts[-1], y, kind)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
-    for li in range(len(params.layers) - 1, -1, -1):
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
         h_in = acts[li]
         grads[li] = (h_in.T @ delta, delta.sum(axis=0))
         if li > 0:
-            delta = delta @ params.layers[li][0].T
-            if params.activation == "relu":
+            delta = delta @ layers[li][0].T
+            if activation == "relu":
                 delta = delta * (pre[li - 1] > 0.0)
     return grads
 
 
 def flatten_grads(grads) -> np.ndarray:
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-
-
-def apply_grads(params: ModelParams, grads, lr: float) -> ModelParams:
-    layers = tuple(
-        (w - lr * gw, b - lr * gb)
-        for (w, b), (gw, gb) in zip(params.layers, grads)
-    )
-    return ModelParams(layers, params.activation)
 
 
 def last_layer_per_sample_grads(
@@ -316,20 +319,24 @@ def sgd_epoch(
     """One pass of mini-batch SGD over the seeded-shuffled subset.
 
     Each batch takes a step of lr times the summed batch gradient; the input
-    params are left unmodified.
+    params are left unmodified.  The steps update raw (W, b) arrays, and the
+    result is validated (shapes, finiteness) once, at the end of the epoch.
     """
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         raise ValueError("empty subset")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    if ds.features.shape[1] != params.input_dim:
+        raise ValueError("input width does not match first layer")
     order = rng.shuffle(subset)
-    current = params
+    layers = params.layers
     for start in range(0, len(order), batch_size):
         batch = order[start:start + batch_size]
-        grads = grad_full(current, ds.features[batch], ds.labels[batch], kind)
-        current = apply_grads(current, grads, lr)
-    return current
+        cached = _forward_layers(layers, params.activation, ds.features[batch])
+        grads = _backprop(layers, params.activation, cached, ds.labels[batch], kind)
+        layers = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(layers, grads)]
+    return ModelParams(tuple(layers), params.activation)
 
 
 def hypothesized_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:

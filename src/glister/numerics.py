@@ -92,23 +92,32 @@ class SeededRng:
             raise ValueError("randint needs n >= 1")
         return min(int(self.random() * n), n - 1)
 
+    def _randints(self, bounds: np.ndarray) -> list[int]:
+        """One `randint(b)` per bound b, all from a single bulk draw: the same
+        values and the same counter advance as calling `randint` in turn."""
+        u = self.uniforms(len(bounds))
+        return np.minimum((u * bounds).astype(np.int64), bounds - 1).tolist()
+
     def shuffle(self, items: Sequence | np.ndarray) -> np.ndarray:
-        """Fisher-Yates shuffle; returns a new array, input untouched."""
-        out = np.array(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randint(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+        """Fisher-Yates shuffle along the first axis; returns a new array,
+        input untouched."""
+        out = np.asarray(items)
+        n = len(out)
+        perm = list(range(n))
+        swaps = self._randints(np.arange(n, 1, -1))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+        return out[np.asarray(perm, dtype=np.intp)]
 
     def choice_no_replace(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), partial Fisher-Yates order."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} of {n}")
-        pool = np.arange(n)
-        for i in range(k):
-            j = i + self.randint(n - i)
+        pool = list(range(n))
+        for i, r in enumerate(self._randints(np.arange(n, n - k, -1))):
+            j = i + r
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+        return np.array(pool[:k], dtype=np.int_)
 
     def split(self, index: int) -> "SeededRng":
         """Child generator for stream `index`; never shares this stream."""

@@ -1,8 +1,9 @@
 """Constrained set-function maximization plus the closed-form objectives.
 
 Greedy engines break ties by lowest index everywhere so that different
-algorithms (and parallel scoring) select identically.  Oracles are immutable
-and safe for concurrent marginal evaluation.
+algorithms select identically.  The facility-location oracle caches the
+coverage of its last subset, so one instance must not be shared between
+threads.
 """
 
 from __future__ import annotations
@@ -287,13 +288,22 @@ def exhaustive_max(
 class _FacilityLocation(SetFunctionOracle):
     """Coverage of `cover` rows by selected ground rows under the similarity
     w(i, j) = d_max - ||x_i - x_j||^2; uncovered rows contribute 0 (the max
-    over an empty set is defined as 0)."""
+    over an empty set is defined as 0).
+
+    The oracle remembers the subset of its last call and the column-wise max
+    over its rows.  A call whose subset extends that one, as greedy engines
+    pass it, folds in only the new rows; since max is exact, the coverage is
+    bit-identical to a recomputation.
+    """
 
     def __init__(self, sim: np.ndarray, cover_labels, ground_labels, per_class: bool):
         super().__init__(sim.shape[0], monotone=True, labels=ground_labels)
         self._sim = sim  # (n_ground, n_cover)
         self._cover_labels = None if cover_labels is None else np.asarray(cover_labels)
         self._per_class = per_class
+        # a copy of the last subset, so later edits by the caller do not leak in
+        self._last_rows: list = []
+        self._last_best: np.ndarray | None = None
 
     def _masked(self, rows) -> np.ndarray:
         """Similarity rows with cross-class entries suppressed to -inf."""
@@ -305,9 +315,17 @@ class _FacilityLocation(SetFunctionOracle):
         return np.where(mask, block, -np.inf)
 
     def _coverage(self, subset) -> np.ndarray:
-        if len(subset) == 0:
+        rows = list(subset)
+        if len(rows) == 0:
             return np.zeros(self._sim.shape[1])
-        best = self._masked(subset).max(axis=0)
+        seen = len(self._last_rows)
+        if 0 < seen <= len(rows) and rows[:seen] == self._last_rows:
+            best = self._last_best
+            if len(rows) > seen:
+                best = np.maximum(best, self._masked(rows[seen:]).max(axis=0))
+        else:
+            best = self._masked(rows).max(axis=0)
+        self._last_rows, self._last_best = rows, best
         return np.maximum(best, 0.0) if self._per_class else best
 
     def value(self, subset) -> float:

@@ -121,12 +121,22 @@ def test_bad_budget_rejected(tmp_path):
         {"regularizer": "random", "lambda": 2.0},
         {"loss": "bogus"},
         {"seeds": []},
+        {"seeds": ["a"]},
+        {"seeds": [1.5]},
+        {"seeds": [True]},
+        {"dataset": "separable-2"},
+        {"dataset": ["synthetic"]},
+        {"budgets": ["0.3"]},
+        {"budgets": [None]},
+        {"budgets": 0.3},
+        {"strategies": {"glister": 1}},
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
 def test_bad_optimizer_settings_rejected(tmp_path, bad):
-    path, _ = base_config(tmp_path, **bad)
+    path, cfg = base_config(tmp_path, **bad)
     assert cmd_run(str(path)) == 2
+    assert not Path(cfg["output_dir"]).exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -212,6 +222,9 @@ def test_active_cli(tmp_path):
         {"rounds": 2.5},
         {"select_every": 0},
         {"seeds": []},
+        {"seeds": ["a"]},
+        {"dataset": 3},
+        {"strategies": {"fass": 1}},
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )

@@ -212,6 +212,41 @@ def test_sgd_deterministic_given_seed():
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
 
+def reference_sgd_epoch(params, ds, subset, lr, batch_size, rng, kind):
+    """Per-batch `grad_full` steps, each validated as a new `ModelParams`."""
+    order = rng.shuffle(np.asarray(subset, dtype=np.int64))
+    current = params
+    for start in range(0, len(order), batch_size):
+        batch = order[start:start + batch_size]
+        grads = grad_full(current, ds.features[batch], ds.labels[batch], kind)
+        layers = tuple((w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(current.layers, grads))
+        current = ModelParams(layers, current.activation)
+    return current
+
+
+@pytest.mark.parametrize("arch", ["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ALL_LOSSES)
+def test_sgd_epoch_matches_per_batch_grad_full(kind, arch):
+    ds = gen_synthetic("separable-2", 40, seed=5)
+    dims = ModelSpec(arch, hidden=6).layer_dims(ds.d, output_width(kind, 2))
+    params = init_params(dims, "relu", SeededRng(2))
+    subset = list(range(0, ds.n, 3))
+    got, want = params, params
+    for t in range(3):
+        got = sgd_epoch(got, ds, subset, 0.05, 7, SeededRng(4).split(t), kind)
+        want = reference_sgd_epoch(want, ds, subset, 0.05, 7, SeededRng(4).split(t), kind)
+    assert got.activation == want.activation
+    for (w0, b0), (w1, b1) in zip(got.layers, want.layers):
+        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+
+def test_sgd_diverging_lr_raises():
+    ds = gen_synthetic("separable-2", 20, seed=1)
+    params = init_params([2, 1], "identity", SeededRng(0))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        sgd_epoch(params, ds, list(range(ds.n)), 1e300, 4, SeededRng(1), LossKind.SQUARED)
+
+
 def test_sgd_rejects_empty_subset():
     ds = gen_synthetic("separable-2", 10, seed=4)
     params = init_params([2, 2], "identity", SeededRng(0))

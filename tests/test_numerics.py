@@ -126,3 +126,52 @@ def test_rng_split_streams_differ_and_reproduce():
     b = root.split(1).uniforms(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(SeededRng(99).split(1).uniforms(4), b)
+
+
+def scalar_shuffle(rng, items):
+    """Fisher-Yates with one `randint` per swap: the stream `shuffle` pins."""
+    out = np.array(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def scalar_choice(rng, n, k):
+    """Partial Fisher-Yates with one `randint` per pick."""
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + rng.randint(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 5000])
+def test_rng_shuffle_pins_scalar_stream(n):
+    for seed in (0, 3, 41):
+        ref, bulk = SeededRng(seed), SeededRng(seed)
+        for items in (np.arange(n) * 7, np.linspace(0.0, 1.0, n)):
+            want = scalar_shuffle(ref, items)
+            got = bulk.shuffle(items)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert bulk._counter == ref._counter
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 5000])
+def test_rng_choice_no_replace_pins_scalar_stream(n):
+    for seed in (0, 3, 41):
+        ref, bulk = SeededRng(seed), SeededRng(seed)
+        for k in sorted({0, min(1, n), n // 3, n}):
+            want = scalar_choice(ref, n, k)
+            got = bulk.choice_no_replace(n, k)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert bulk._counter == ref._counter
+
+
+def test_rng_shuffle_permutes_rows_of_2d_input():
+    x = np.arange(10).reshape(5, 2)
+    out = SeededRng(0).shuffle(x)
+    perm = SeededRng(0).shuffle(np.arange(5))
+    assert np.array_equal(out, x[perm])
+    assert sorted(map(tuple, out.tolist())) == sorted(map(tuple, x.tolist()))
+    assert np.array_equal(x, np.arange(10).reshape(5, 2))  # input untouched

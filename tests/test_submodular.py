@@ -7,6 +7,8 @@ from glister.data import Dataset, SplitSpec, discretize_features, gen_synthetic,
 from glister.numerics import SeededRng
 from glister.submodular import (
     MatroidQuota,
+    SetFunctionOracle,
+    cross_facility_location,
     exhaustive_max,
     facility_location,
     from_callable,
@@ -223,6 +225,82 @@ def test_facility_location_per_class_uncovered_contributes_zero():
     d = ((pts[:, None] - pts[None, :]) ** 2).sum(-1)
     assert v == pytest.approx(2 * d.max())
     assert f.value([0, 1, 2]) == pytest.approx(3 * d.max())
+
+
+def fl_factories(seed, n=40):
+    """Constructors of a plain, a per-class and a cross facility location."""
+    rng = SeededRng(seed)
+    pts = rng.normals(3 * n).reshape(n, 3)
+    labels = np.array([rng.randint(3) for _ in range(n)])
+    cover = rng.normals(3 * 15).reshape(15, 3)
+    cover_labels = np.array([rng.randint(3) for _ in range(15)])
+    return [
+        lambda: facility_location(pts),
+        lambda: facility_location(pts, labels, per_class=True),
+        lambda: cross_facility_location(pts, labels, cover, cover_labels),
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_facility_location_cache_matches_fresh_oracle(which):
+    make = fl_factories(5)[which]
+    f = make()
+    cands = list(range(f.n))
+
+    def check(subset):
+        fresh = make()
+        assert f.value(subset) == fresh.value(subset)
+        assert np.array_equal(f.marginals(cands, subset), make().marginals(cands, subset))
+        assert all(f.marginal(e, subset) == make().marginal(e, subset) for e in (0, 7, 39))
+
+    grown = []
+    for e in (3, 17, 0, 25, 9, 31):  # a growing prefix, as greedy engines pass it
+        grown.append(e)
+        check(grown)
+    check(grown + [11, 13])  # two new rows at once
+    check([3, 0, 17])  # same rows in another order: not a prefix
+    check([17, 25])  # not a prefix
+    check([17])  # shorter
+    check([])
+    mutated = [4, 8, 12]
+    check(mutated)
+    mutated[1] = 30  # the caller edits its list after the call
+    check(mutated)
+    mutated.append(2)
+    check(mutated)
+    check(np.array([4, 30, 12, 2, 5]))
+
+
+class _Uncached(SetFunctionOracle):
+    """Delegates each call to a newly built oracle, so nothing is carried."""
+
+    def __init__(self, make):
+        probe = make()
+        super().__init__(probe.n, probe.monotone, probe.labels)
+        self._make = make
+
+    def value(self, subset):
+        return self._make().value(subset)
+
+    def marginal(self, e, subset):
+        return self._make().marginal(e, subset)
+
+    def marginals(self, candidates, subset):
+        return self._make().marginals(candidates, subset)
+
+
+def test_lazy_greedy_unchanged_by_coverage_cache():
+    for seed in (1, 2):
+        for make in fl_factories(seed):
+            f = make()
+            runs = [(12, None)]
+            if f.labels is not None:
+                runs.append((9, MatroidQuota.from_proportions(f.labels, 3, 9)))
+            for k, quota in runs:
+                got = lazy_greedy(f, k, quota)
+                want = lazy_greedy(_Uncached(make), k, quota)
+                assert list(got) == list(want)
+                assert got.evaluations == want.evaluations
 
 
 def test_diminishing_returns_all_oracles():

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GlisterConfig, _SELECT_STREAM, greedy_dss, init_model_params, subset_digest
+from .core import (
+    GlisterConfig,
+    _SELECT_STREAM,
+    _train_epochs,
+    greedy_dss,
+    init_model_params,
+    subset_digest,
+)
 from .data import Dataset
 from .models import (
     ModelParams,
@@ -21,7 +28,6 @@ from .models import (
     forward,
     hypothesized_labels,
     loss_value,
-    sgd_epoch,
 )
 from .numerics import SeededRng, log_sum_exp_rows
 from .submodular import facility_location, lazy_greedy
@@ -30,7 +36,6 @@ __all__ = [
     "PoolState",
     "ActiveRound",
     "ActiveTrace",
-    "glister_active",
     "random_acquire",
     "fass_acquire",
     "run_active",
@@ -134,14 +139,6 @@ def fass_acquire(
     return sorted(int(cand[p]) for p in picked)
 
 
-def _train_epochs(params, pool, labeled, cfg, epochs, rng_root, offset):
-    for t in range(epochs):
-        params = sgd_epoch(
-            params, pool, labeled, cfg.lr, cfg.batch_size, rng_root.split(offset + t), cfg.loss
-        )
-    return params
-
-
 def run_active(
     strategy: str,
     pool: Dataset,
@@ -206,21 +203,3 @@ def run_active(
     trace.final_val_loss = loss_value(params, val.features, val.labels, cfg.loss)
     trace.final_test_acc = accuracy(params, test)
     return params, state, trace
-
-
-def glister_active(
-    pool: Dataset,
-    val: Dataset,
-    test: Dataset,
-    initial_labeled,
-    model_spec: ModelSpec,
-    cfg: GlisterConfig,
-    rounds: int,
-    batch: int,
-    epochs_per_round: int,
-) -> tuple[ModelParams, PoolState, ActiveTrace]:
-    """Validation-gain batch acquisition with hypothesized labels."""
-    return run_active(
-        "glister", pool, val, test, initial_labeled, model_spec, cfg,
-        rounds, batch, epochs_per_round,
-    )

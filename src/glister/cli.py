@@ -24,34 +24,29 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "cmd_run", "cmd_active", "cmd_verify", "cmd_bench"]
 
 
-def cmd_run(config_path: str) -> int:
+def _run_config(config_path: str, load, run, noun: str) -> int:
+    """Load and validate a config (exit 2 on failure), then run it (exit 1
+    on failure)."""
     try:
-        config = load_experiment_config(config_path)
+        config = load(config_path)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = run_experiment(config)
+        summary = run(config)
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 1
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(summary)} runs to {config.output_dir}")
+    print(f"wrote {len(summary)} {noun} to {config.output_dir}")
     return 0
+
+
+def cmd_run(config_path: str) -> int:
+    return _run_config(config_path, load_experiment_config, run_experiment, "runs")
 
 
 def cmd_active(config_path: str) -> int:
-    try:
-        config = load_active_config(config_path)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        summary = run_active_experiment(config)
-    except Exception as exc:  # noqa: BLE001
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(summary)} active runs to {config.output_dir}")
-    return 0
+    return _run_config(config_path, load_active_config, run_active_experiment, "active runs")
 
 
 def cmd_verify(suite: str, seed: int = 0) -> int:

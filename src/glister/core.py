@@ -165,7 +165,6 @@ class GainState:
     val_ll_at_lookahead: float = math.nan
     refresh_count: int = 0
     stale: bool = True
-    selected: list[int] = field(default_factory=list)
     _val_hidden: tuple | None = None  # (val, its penultimate activations)
 
     def lookahead_params(self) -> ModelParams:
@@ -199,7 +198,6 @@ class GainState:
         if positions:
             rows = -last_layer_rows(self.hidden[positions], self.logit_grads[positions])
             self.theta_lookahead = self.theta_lookahead + self.eta * rows.sum(axis=0)
-            self.selected.extend(positions)
             self.stale = True
 
 
@@ -353,16 +351,10 @@ def taylor_proxy(
     squared loss a non-monotone one; cross-entropy a monotone weakly
     submodular one.
     """
-    g_train = last_layer_per_sample_grads(params, train.features, train.labels, kind)
     xv = _augmented_last_inputs(params, val.features)
     zv = forward(params, val.features)
     if kind == LossKind.CROSS_ENTROPY:
-        # per-sample logit grads of the training points
-        shift = forward(params, train.features)
-        shift = shift - shift.max(axis=1, keepdims=True)
-        p = np.exp(shift)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(train.n), train.labels] -= 1.0
+        p = logit_grads(forward(params, train.features), train.labels, kind)
         xt = _augmented_last_inputs(params, train.features)
         kernel = xv @ xt.T  # (m, n): augmented inner products
         g = kernel[:, :, None] * p[None, :, :]  # g[i, j, c]
@@ -372,6 +364,7 @@ def taylor_proxy(
         log_c = zv + k * (g_min - 1.0)
         return _CrossEntropyProxy(g1, g2, log_c, eta, labels=train.labels)
 
+    g_train = last_layer_per_sample_grads(params, train.features, train.labels, kind)
     s_val = 2.0 * val.labels.astype(np.float64) - 1.0
     if kind == LossKind.SQUARED:
         g_val = last_layer_per_sample_grads(params, val.features, val.labels, kind)
@@ -595,6 +588,16 @@ def _descent_monitor(train: Dataset, val: Dataset, kind: LossKind):
         return dot, cos, nt, bound, nv
 
     return monitor
+
+
+def _train_epochs(params, train, subset, cfg, epochs, rng_root, offset):
+    """`epochs` epochs of mini-batch SGD on a fixed subset; epoch t shuffles
+    with rng_root.split(offset + t)."""
+    for t in range(epochs):
+        params = sgd_epoch(
+            params, train, subset, cfg.lr, cfg.batch_size, rng_root.split(offset + t), cfg.loss
+        )
+    return params
 
 
 def _selection_loop(

@@ -47,7 +47,6 @@ from .numerics import _mix64 as _mix
 
 __all__ = [
     "ExperimentConfig",
-    "ActiveConfig",
     "load_experiment_config",
     "load_active_config",
     "run_cell",
@@ -60,76 +59,52 @@ __all__ = [
     "derive_run_seed",
 ]
 
-TRACE_HEADER = (
-    "epoch,wall_s,sel_s,train_loss,full_train_loss,val_loss,test_acc,"
-    "subset_digest,dot_vt,cos_theta,grad_norm_t,lr_bound"
+# the CSV columns, in order: attributes of EpochRecord and of ActiveRound
+TRACE_COLUMNS = (
+    "epoch", "wall_s", "sel_s", "train_loss", "full_train_loss", "val_loss", "test_acc",
+    "subset_digest", "dot_vt", "cos_theta", "grad_norm_t", "lr_bound",
 )
-ACTIVE_HEADER = "round,labeled_count,val_loss,test_acc,batch_digest"
+ACTIVE_COLUMNS = ("round", "labeled_count", "val_loss", "test_acc", "batch_digest")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+ACTIVE_HEADER = ",".join(ACTIVE_COLUMNS)
 
 
 def _fmt(x) -> str:
+    """A CSV cell: counts and digests as they are, other numbers by repr,
+    None as empty."""
     if x is None:
         return ""
+    if isinstance(x, (int, str)):
+        return str(x)
     return repr(float(x))
 
 
-def trace_to_csv(trace: RunTrace) -> str:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.epoch),
-                    _fmt(r.wall_s),
-                    _fmt(r.sel_s),
-                    _fmt(r.train_loss),
-                    _fmt(r.full_train_loss),
-                    _fmt(r.val_loss),
-                    _fmt(r.test_acc),
-                    r.subset_digest,
-                    _fmt(r.dot_vt),
-                    _fmt(r.cos_theta),
-                    _fmt(r.grad_norm_t),
-                    _fmt(r.lr_bound),
-                ]
-            )
-        )
+def _records_to_csv(columns: tuple, records) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(r, c)) for c in columns) for r in records]
     return "\n".join(lines) + "\n"
 
 
-def trace_from_csv(text: str, lr: float = math.nan) -> RunTrace:
-    reader = csv.DictReader(io.StringIO(text))
-    trace = RunTrace(lr=lr)
-    for row in reader:
-        opt = lambda key: None if row[key] == "" else float(row[key])
-        trace.records.append(
-            EpochRecord(
-                epoch=int(row["epoch"]),
-                wall_s=float(row["wall_s"]),
-                sel_s=float(row["sel_s"]),
-                train_loss=float(row["train_loss"]),
-                full_train_loss=float(row["full_train_loss"]),
-                val_loss=float(row["val_loss"]),
-                test_acc=float(row["test_acc"]),
-                subset_digest=row["subset_digest"],
-                dot_vt=opt("dot_vt"),
-                cos_theta=opt("cos_theta"),
-                grad_norm_t=opt("grad_norm_t"),
-                lr_bound=opt("lr_bound"),
-            )
-        )
-    return trace
+def trace_to_csv(trace: RunTrace) -> str:
+    return _records_to_csv(TRACE_COLUMNS, trace.records)
 
 
 def active_trace_to_csv(trace) -> str:
-    lines = [ACTIVE_HEADER]
-    for r in trace.rounds:
-        lines.append(
-            ",".join(
-                [str(r.round), str(r.labeled_count), _fmt(r.val_loss), _fmt(r.test_acc), r.batch_digest]
-            )
+    return _records_to_csv(ACTIVE_COLUMNS, trace.rounds)
+
+
+def trace_from_csv(text: str, lr: float = math.nan) -> RunTrace:
+    trace = RunTrace(lr=lr)
+    for row in csv.DictReader(io.StringIO(text)):
+        numbers = {
+            c: None if row[c] == "" else float(row[c])
+            for c in TRACE_COLUMNS
+            if c not in ("epoch", "subset_digest")
+        }
+        trace.records.append(
+            EpochRecord(epoch=int(row["epoch"]), subset_digest=row["subset_digest"], **numbers)
         )
-    return "\n".join(lines) + "\n"
+    return trace
 
 
 def derive_run_seed(config_seed: int, strategy: str, budget_index: int) -> int:
@@ -173,15 +148,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
+    """A validated `glister run` or `glister active` config."""
 
-    @property
-    def output_dir(self) -> Path:
-        return Path(self.raw["output_dir"])
-
-
-@dataclass
-class ActiveConfig:
     raw: dict
 
     @property
@@ -199,10 +167,10 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _validate(raw: dict, allowed: set, active: bool) -> None:
+def _validate(raw: dict, active: bool) -> None:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - allowed
+    unknown = set(raw) - (_ACTIVE_KEYS if active else _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("schema_version") != 1:
@@ -234,6 +202,14 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
     for key in _NUMBER_KEYS:
         if raw.get(key) is not None and not _is_number(raw[key]):
             raise ConfigError(f"{key} must be a number")
+    if "filter_mult" in raw:
+        mult = raw["filter_mult"]
+        if not (_is_number(mult) and math.isfinite(mult) and mult >= 1):
+            raise ConfigError("filter_mult must be a finite number >= 1")
+    try:
+        _model_spec(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid model: {exc}") from None
     try:
         glister_config(raw, 0, None)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -257,14 +233,14 @@ def _validate(raw: dict, allowed: set, active: bool) -> None:
 
 def load_experiment_config(path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
-    _validate(raw, _CONFIG_KEYS, active=False)
+    _validate(raw, active=False)
     return ExperimentConfig(raw)
 
 
-def load_active_config(path) -> ActiveConfig:
+def load_active_config(path) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text())
-    _validate(raw, _ACTIVE_KEYS, active=True)
-    return ActiveConfig(raw)
+    _validate(raw, active=True)
+    return ExperimentConfig(raw)
 
 
 def build_datasets(raw: dict, seed: int):
@@ -348,6 +324,8 @@ def glister_config(raw: dict, seed: int, budget: float | None) -> GlisterConfig:
 
 def _model_spec(raw: dict) -> ModelSpec:
     m = raw.get("model", {"arch": "mlp", "hidden": 100})
+    if not isinstance(m, dict):
+        raise TypeError("model must be a JSON object")
     return ModelSpec(m.get("arch", "mlp"), int(m.get("hidden", 100)))
 
 
@@ -381,15 +359,23 @@ def run_cell(
     return _selection_loop(train, val, test, params, cfg, epochs, selectors[strategy], every)
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Cross product of strategies x budgets x seeds; writes one trace CSV
-    per cell plus summary.json.  Returns the summary object."""
-    raw = config.raw
+def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
+    """Write each cell's trace file as the cell finishes, then summary.json
+    with one row per cell; returns the rows."""
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    summary = []
+    for trace_file, csv_text, row in cells:
+        (out_dir / trace_file).write_text(csv_text)
+        summary.append({**row, "trace_file": trace_file})
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    return summary
+
+
+def _online_cells(raw: dict):
+    """(trace file, trace CSV, summary row) per strategy x budget x seed."""
     model_spec = _model_spec(raw)
     epochs = int(raw.get("epochs", 200))
-    summary = []
     for strategy in raw["strategies"]:
         budgets = [None] if strategy == "full" else raw["budgets"]
         for b_idx, budget in enumerate(budgets):
@@ -397,72 +383,67 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 run_seed = derive_run_seed(int(seed), strategy, b_idx)
                 train, val, test, max_norm = build_datasets(raw, int(seed))
                 cfg = glister_config(raw, run_seed, budget if budget is not None else 1.0)
-                params, subset, trace = run_cell(
-                    strategy, train, val, test, model_spec, cfg, epochs
-                )
+                _, _, trace = run_cell(strategy, train, val, test, model_spec, cfg, epochs)
                 tag = "full" if budget is None else f"b{int(round(budget * 100))}"
-                trace_file = f"trace_{strategy}_{tag}_s{seed}.csv"
-                (out_dir / trace_file).write_text(trace_to_csv(trace))
                 last = trace.records[-1]
-                summary.append(
-                    {
-                        "strategy": strategy,
-                        "budget": budget,
-                        "seed": int(seed),
-                        "run_seed": run_seed,
-                        "final_test_acc": last.test_acc,
-                        "final_val_loss": last.val_loss,
-                        "total_wall_s": last.wall_s,
-                        "total_sel_s": sum(r.sel_s for r in trace.records),
-                        "subset_digest": last.subset_digest,
-                        "max_row_norm": max_norm,
-                        "trace_file": trace_file,
-                    }
-                )
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-    return summary
+                yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
+                    "strategy": strategy,
+                    "budget": budget,
+                    "seed": int(seed),
+                    "run_seed": run_seed,
+                    "final_test_acc": last.test_acc,
+                    "final_val_loss": last.val_loss,
+                    "total_wall_s": last.wall_s,
+                    "total_sel_s": sum(r.sel_s for r in trace.records),
+                    "subset_digest": last.subset_digest,
+                    "max_row_norm": max_norm,
+                }
 
 
-def run_active_experiment(config: ActiveConfig) -> dict:
-    raw = config.raw
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _active_cells(raw: dict):
+    """(trace file, round CSV, summary row) per acquisition strategy x seed."""
     model_spec = _model_spec(raw)
     rounds = int(raw.get("rounds", 10))
     batch = int(raw.get("batch", 50))
     epochs_per_round = int(raw.get("epochs_per_round", 200))
     n_initial = int(raw.get("initial_labeled", 20))
-    summary = []
     for strategy in raw["strategies"]:
         for seed in raw["seeds"]:
             run_seed = derive_run_seed(int(seed), strategy, 0)
-            pool, val, test, max_norm = build_datasets(raw, int(seed))
+            pool, val, test, _ = build_datasets(raw, int(seed))
             cfg = replace(glister_config(raw, run_seed, None), k=batch)
             initial = stratified_random_subset(
                 pool.labels, pool.num_classes, n_initial, SeededRng(run_seed).split(71)
             )
-            params, state, trace = run_active(
+            _, state, trace = run_active(
                 strategy, pool, val, test, initial, model_spec, cfg,
                 rounds, batch, epochs_per_round,
                 filter_mult=float(raw.get("filter_mult", 5.0)),
             )
-            trace_file = f"active_{strategy}_s{seed}.csv"
-            (out_dir / trace_file).write_text(active_trace_to_csv(trace))
-            summary.append(
-                {
-                    "strategy": strategy,
-                    "seed": int(seed),
-                    "run_seed": run_seed,
-                    "rounds": rounds,
-                    "batch": batch,
-                    "final_test_acc": trace.final_test_acc,
-                    "final_val_loss": trace.final_val_loss,
-                    "labeled_count": len(state.labeled),
-                    "trace_file": trace_file,
-                }
-            )
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-    return summary
+            yield f"active_{strategy}_s{seed}.csv", active_trace_to_csv(trace), {
+                "strategy": strategy,
+                "seed": int(seed),
+                "run_seed": run_seed,
+                "rounds": rounds,
+                "batch": batch,
+                "final_test_acc": trace.final_test_acc,
+                "final_val_loss": trace.final_val_loss,
+                "labeled_count": len(state.labeled),
+            }
+
+
+def run_experiment(config: ExperimentConfig) -> list[dict]:
+    """`glister run`: the cross product of strategies x budgets x seeds;
+    writes one trace CSV per cell plus summary.json, and returns the
+    summary rows."""
+    return _write_runs(config, _online_cells(config.raw))
+
+
+def run_active_experiment(config: ExperimentConfig) -> list[dict]:
+    """`glister active`: strategies x seeds of batch active learning;
+    writes one round CSV per run plus summary.json, and returns the
+    summary rows."""
+    return _write_runs(config, _active_cells(config.raw))
 
 
 def make_bench_data(n: int, d: int, seed: int) -> tuple[Dataset, Dataset]:

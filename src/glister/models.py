@@ -8,7 +8,6 @@ column with labels encoded internally as -1/+1 (class 1 maps to +1).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,12 +29,9 @@ __all__ = [
     "grad_full",
     "last_layer_per_sample_grads",
     "last_layer_rows",
-    "last_layer_grad_sum",
     "sgd_epoch",
     "hypothesized_labels",
     "accuracy",
-    "save_params",
-    "load_params",
     "output_width",
     "flatten_grads",
 ]
@@ -126,6 +122,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ("logistic", "mlp"):
             raise ValueError("arch must be 'logistic' or 'mlp'")
+        if self.hidden < 1:
+            raise ValueError("hidden width must be >= 1")
 
     def layer_dims(self, input_dim: int, out_width: int) -> list[int]:
         if self.arch == "logistic":
@@ -299,14 +297,6 @@ def last_layer_rows(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.concatenate([outer.reshape(len(delta), -1), delta], axis=1)
 
 
-def last_layer_grad_sum(
-    params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind
-) -> np.ndarray:
-    """Summed last-layer loss gradient as a flat vector [W row-major, b]."""
-    gw, gb = grad_full(params, x, y, kind)[-1]
-    return np.concatenate([gw.ravel(), gb])
-
-
 def sgd_epoch(
     params: ModelParams,
     ds: Dataset,
@@ -351,39 +341,3 @@ def hypothesized_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def accuracy(params: ModelParams, ds: Dataset) -> float:
     return float(np.mean(hypothesized_labels(params, ds.features) == ds.labels))
-
-
-_MAGIC = b"GLMP"
-_VERSION = 1
-_ACT_CODE = {"identity": 0, "relu": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
-
-
-def save_params(params: ModelParams) -> bytes:
-    """Versioned little-endian binary: magic, version, activation, layer
-    count, then per layer the shape and raw float64 data."""
-    out = [_MAGIC, struct.pack("<IBI", _VERSION, _ACT_CODE[params.activation], len(params.layers))]
-    for w, b in params.layers:
-        out.append(struct.pack("<II", w.shape[0], w.shape[1]))
-        out.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(out)
-
-
-def load_params(blob: bytes) -> ModelParams:
-    if blob[:4] != _MAGIC:
-        raise ValueError("bad magic")
-    version, act, n_layers = struct.unpack_from("<IBI", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported version {version}")
-    offset = 4 + struct.calcsize("<IBI")
-    layers = []
-    for _ in range(n_layers):
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
-        offset += 8 * rows * cols
-        b = np.frombuffer(blob, dtype="<f8", count=cols, offset=offset)
-        offset += 8 * cols
-        layers.append((w.copy(), b.copy()))
-    return ModelParams(tuple(layers), _ACT_NAME[act])

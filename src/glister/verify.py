@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     GlisterConfig,
+    _train_epochs,
     exact_gain,
     glister_online_train,
     greedy_dss,
@@ -37,7 +38,6 @@ from .models import (
     init_params,
     loss_value,
     output_width,
-    sgd_epoch,
 )
 from .numerics import SeededRng, finite_diff_grad
 from .submodular import (
@@ -368,8 +368,7 @@ def noise_experiment(seed: int):
     baselines = []
     for labelled in (train, clean):
         rparams = init_model_params(labelled, spec, cfg)
-        for t in range(cfgd["epochs"]):
-            rparams = sgd_epoch(rparams, labelled, rsubset, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
+        rparams = _train_epochs(rparams, labelled, rsubset, cfg, cfgd["epochs"], root, 0)
         baselines.append(accuracy(rparams, test))
     return (
         accuracy(params, test),
@@ -430,8 +429,7 @@ def imbalance_experiment(seed: int):
     root = SeededRng(cfg.seed)
     rparams = init_model_params(train, spec, cfg)
     rsubset = random_subset(train, k, root.split(1 << 33), match_distribution=train)
-    for t in range(cfgd["epochs"]):
-        rparams = sgd_epoch(rparams, train, rsubset, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
+    rparams = _train_epochs(rparams, train, rsubset, cfg, cfgd["epochs"], root, 0)
     rare_mask = np.isin(train.labels, rare)
     return (
         accuracy(params, test),

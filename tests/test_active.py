@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glister.active import PoolState, fass_acquire, glister_active, random_acquire, run_active
+from glister.active import PoolState, fass_acquire, random_acquire, run_active
 from glister.core import GlisterConfig, stratified_random_subset
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.models import LossKind, ModelParams, ModelSpec, init_params, sgd_epoch
@@ -135,16 +135,6 @@ def test_active_acquire_all_equals_warm_start_then_full_train(pool_data):
     for (w0, b0), (w1, b1) in zip(params.layers, manual.layers):
         assert np.array_equal(w0, w1)
         assert np.array_equal(b0, b1)
-
-
-def test_glister_active_wrapper_matches_run_active(pool_data):
-    pool, val, test = pool_data
-    init = stratified_random_subset(pool.labels, pool.num_classes, 10, SeededRng(3))
-    spec = ModelSpec("logistic")
-    a = glister_active(pool, val, test, init, spec, small_cfg(), 3, 10, 4)
-    b = run_active("glister", pool, val, test, init, spec, small_cfg(), 3, 10, 4)
-    assert a[1].batches == b[1].batches
-    assert a[2].final_test_acc == b[2].final_test_acc
 
 
 def test_active_pool_exhausted(pool_data):

@@ -13,6 +13,15 @@ from glister.experiments import (
 )
 
 
+# model settings that must fail validation, before any output exists
+BAD_MODELS = [
+    pytest.param({"model": {"arch": "bogus"}}, id="model-arch-bogus"),
+    pytest.param({"model": "mlp"}, id="model-not-object"),
+    pytest.param({"model": {"arch": "mlp", "hidden": "a"}}, id="model-hidden-str"),
+    pytest.param({"model": {"arch": "mlp", "hidden": 0}}, id="model-hidden-0"),
+]
+
+
 def base_config(tmp_path, **overrides):
     cfg = {
         "schema_version": 1,
@@ -59,7 +68,16 @@ def test_run_summary_matches_trace_final_row(tmp_path):
     out = Path(cfg["output_dir"])
     summary = json.loads((out / "summary.json").read_text())
     row = summary[0]
-    trace = trace_from_csv((out / row["trace_file"]).read_text())
+    assert list(row) == [
+        "strategy", "budget", "seed", "run_seed", "final_test_acc", "final_val_loss",
+        "total_wall_s", "total_sel_s", "subset_digest", "max_row_norm", "trace_file",
+    ]
+    text = (out / row["trace_file"]).read_text()
+    assert text.splitlines()[0] == (
+        "epoch,wall_s,sel_s,train_loss,full_train_loss,val_loss,test_acc,"
+        "subset_digest,dot_vt,cos_theta,grad_norm_t,lr_bound"
+    )
+    trace = trace_from_csv(text)
     last = trace.records[-1]
     assert row["final_test_acc"] == last.test_acc
     assert row["final_val_loss"] == last.val_loss
@@ -130,6 +148,7 @@ def test_bad_budget_rejected(tmp_path):
         {"budgets": [None]},
         {"budgets": 0.3},
         {"strategies": {"glister": 1}},
+        *BAD_MODELS,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -210,6 +229,15 @@ def test_active_cli(tmp_path):
     assert len(lines) == 1 + 3
     counts = [int(line.split(",")[1]) for line in lines[1:]]
     assert counts == [18, 28, 38]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["trace_file"] for r in summary] == [
+        "active_glister_s1.csv", "active_random_s1.csv", "active_fass_s1.csv"
+    ]
+    assert list(summary[0]) == [
+        "strategy", "seed", "run_seed", "rounds", "batch",
+        "final_test_acc", "final_val_loss", "labeled_count", "trace_file",
+    ]
+    assert summary[0]["labeled_count"] == 38
 
 
 @pytest.mark.parametrize(
@@ -225,6 +253,9 @@ def test_active_cli(tmp_path):
         {"seeds": ["a"]},
         {"dataset": 3},
         {"strategies": {"fass": 1}},
+        pytest.param({"strategies": ["fass"], "filter_mult": 0.5}, id="filter_mult=0.5"),
+        pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
+        *BAD_MODELS,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )

@@ -23,14 +23,20 @@ from glister.data import SplitSpec, gen_synthetic, split
 from glister.models import (
     LossKind,
     ModelSpec,
+    grad_full,
     init_params,
-    last_layer_grad_sum,
     last_layer_per_sample_grads,
     output_width,
     sgd_epoch,
 )
 from glister.numerics import SeededRng
 from glister.submodular import exhaustive_max, from_callable
+
+
+def last_layer_grad_sum(params, x, y, kind):
+    """Summed last-layer loss gradient as a flat vector [W row-major, b]."""
+    gw, gb = grad_full(params, x, y, kind)[-1]
+    return np.concatenate([gw.ravel(), gb])
 
 
 @pytest.fixture(scope="module")

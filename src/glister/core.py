@@ -418,6 +418,20 @@ def _regularizer_marginals(reg, lam, rem_positions, selected_positions):
     raise AssertionError(kind)
 
 
+def _top_ranked(pool: np.ndarray, scores, m: int) -> np.ndarray:
+    """The first m entries of `pool` ranked by score, best first, ties to the
+    lower position and NaN last: `pool[np.lexsort((pool, -scores))][:m]`.
+    Only the entries at or above the m-th best key are sorted; they are a
+    prefix of the full ranking."""
+    key = -np.asarray(scores, dtype=np.float64)
+    if m < len(pool):
+        kth = np.partition(key, m - 1)[m - 1]
+        if not np.isnan(kth):
+            keep = np.flatnonzero(key <= kth)
+            pool, key = pool[keep], key[keep]
+    return pool[np.lexsort((pool, key))][:m]
+
+
 def greedy_dss(
     train: Dataset,
     val: Dataset,
@@ -477,18 +491,16 @@ def greedy_dss(
             scores = _taylor_gains(state, pool) + _regularizer_marginals(
                 reg, cfg.lam, pool, order
             )
-            # best score first, ties to the lower position
-            ranked = pool[np.lexsort((pool, -np.asarray(scores, dtype=np.float64)))]
             if cfg.greedy == "randomized":
                 # each pick is uniform over the top k_total still unpicked;
                 # removing one entry leaves the rest of the ranking in order
-                live = ranked.tolist()
+                live = _top_ranked(pool, scores, count + k_total).tolist()
                 picked = np.array(
                     [live.pop(int(rng.randint(min(k_total, len(live))))) for _ in range(count)],
                     dtype=np.int64,
                 )
             else:
-                picked = ranked[:count]
+                picked = _top_ranked(pool, scores, count)
             state.add(picked)
             order.extend(int(p) for p in picked)
             mask = np.ones(len(remaining), dtype=bool)

@@ -162,9 +162,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
     """True for a JSON integer (not a bool) >= 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _validate(raw: dict, active: bool) -> None:
@@ -189,10 +194,11 @@ def _validate(raw: dict, active: bool) -> None:
             raise ConfigError("libsvm dataset needs a path")
     else:
         raise ConfigError("dataset.kind must be 'synthetic' or 'libsvm'")
+    _validate_data(raw)
     seeds = raw["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+    if not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds must be integers")
     # loop lengths and sizes
     counts = ("rounds", "batch", "epochs_per_round", "initial_labeled") if active else ("epochs",)
@@ -229,6 +235,43 @@ def _validate(raw: dict, active: bool) -> None:
             raise ConfigError("budget fractions must lie in (0, 1]")
         if any(s != "full" for s in strategies) and not budgets:
             raise ConfigError("non-full strategies need budgets")
+
+
+def _validate_data(raw: dict) -> None:
+    """The data-side keys `build_datasets` reads, checked without coercion."""
+    ds = raw["dataset"]
+    n_per_class = ds.get("n_per_class", 250)
+    if not (_is_count(n_per_class) and n_per_class >= 2):
+        raise ConfigError("dataset.n_per_class must be an integer >= 2")
+    if "split" in raw:
+        spec = raw["split"]
+        if not isinstance(spec, dict) or not {"train", "val", "test"} <= set(spec):
+            raise ConfigError("split must be an object with train, val and test fractions")
+        fracs = [spec[key] for key in ("train", "val", "test")]
+        seed = spec.get("seed", 1)
+        if not all(_is_number(f) for f in fracs) or not _is_int(seed):
+            raise ConfigError("split fractions must be numbers and its seed an integer")
+        try:
+            SplitSpec(*fracs, seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid split: {exc}") from None
+    corruption = raw.get("corruption") or {}
+    if not isinstance(corruption, dict):
+        raise ConfigError("corruption must be a JSON object")
+    rate = corruption.get("noise_rate", 0.0)
+    if not (_is_number(rate) and 0.0 <= rate < 1.0):
+        raise ConfigError("corruption.noise_rate must be a number in [0, 1)")
+    imbalance = corruption.get("imbalance", {})
+    if not isinstance(imbalance, dict) or not all(
+        _is_number(imbalance.get(key, 0.5)) and 0.0 < imbalance.get(key, 0.5) < 1.0
+        for key in ("affected_frac", "keep_frac")
+    ):
+        raise ConfigError("corruption.imbalance needs affected_frac and keep_frac in (0, 1)")
+    seeds = (ds.get("seed", 0), corruption.get("noise_seed", 0), imbalance.get("seed", 0))
+    if not all(_is_int(s) for s in seeds):
+        raise ConfigError("dataset, noise and imbalance seeds must be integers")
+    if not isinstance(raw.get("standardize", True), bool):
+        raise ConfigError("standardize must be true or false")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -326,7 +369,10 @@ def _model_spec(raw: dict) -> ModelSpec:
     m = raw.get("model", {"arch": "mlp", "hidden": 100})
     if not isinstance(m, dict):
         raise TypeError("model must be a JSON object")
-    return ModelSpec(m.get("arch", "mlp"), int(m.get("hidden", 100)))
+    hidden = m.get("hidden", 100)
+    if not _is_int(hidden):
+        raise TypeError("model.hidden must be an integer")
+    return ModelSpec(m.get("arch", "mlp"), hidden)
 
 
 def run_cell(

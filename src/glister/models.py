@@ -146,39 +146,39 @@ def init_params(layer_dims: list[int], activation: str, rng: SeededRng) -> Model
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping pre- and post-activation values for backprop."""
+    """Forward pass keeping every layer's output for backprop."""
     if x.shape[1] != params.input_dim:
         raise ValueError("input width does not match first layer")
     return _forward_layers(params.layers, params.activation, x)
 
 
-def _forward_layers(layers, activation: str, x: np.ndarray):
-    """`_forward_cached` on raw (W, b) pairs, with no shape check."""
+def _forward_layers(layers, activation: str, x: np.ndarray) -> list:
+    """`_forward_cached` on raw (W, b) pairs, with no shape check: the input
+    followed by each layer's output, the ReLU applied in place.  A ReLU
+    output is positive exactly where its pre-activation is, so backprop
+    needs nothing else."""
     acts = [x]
-    pre = []
-    h = x
     for li, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre.append(z)
+        h = x @ w
+        h += b
         if li < len(layers) - 1 and activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return pre, acts
+        x = h
+    return acts
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Logits (no softmax), shape (n, out_dim)."""
     x = np.asarray(x, dtype=np.float64)
-    return _forward_cached(params, x)[1][-1]
+    return _forward_cached(params, x)[-1]
 
 
 def last_layer_inputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Penultimate activations h, the input of the final layer, shape (n, H):
     x itself for a single linear layer."""
     x = np.asarray(x, dtype=np.float64)
-    return _forward_cached(params, x)[1][-2]
+    return _forward_cached(params, x)[-2]
 
 
 def _signs(y: np.ndarray) -> np.ndarray:
@@ -231,24 +231,41 @@ def loss_from_logits(z: np.ndarray, y: np.ndarray, kind: LossKind) -> float:
 def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
     """Per-sample dLoss/dlogits (delta), shape like z."""
     y = _check_labels(y, kind, z.shape[1])
+    return _logit_grads(z, _targets(y, kind, z.shape[1]), kind)
+
+
+def _targets(y: np.ndarray, kind: LossKind, width: int) -> np.ndarray:
+    """Checked labels encoded for `_logit_grads`: one-hot rows (n, width)
+    for cross-entropy, -1/+1 signs (n,) for the margin losses."""
     if kind == LossKind.CROSS_ENTROPY:
-        shift = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shift)
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(len(y)), y] -= 1.0
+        onehot = np.zeros((len(y), width))
+        onehot[np.arange(len(y)), y] = 1.0
+        return onehot
+    return _signs(y)
+
+
+def _logit_grads(z: np.ndarray, t: np.ndarray, kind: LossKind) -> np.ndarray:
+    """`logit_grads` from `_targets` rows, with no label check.  The softmax
+    runs in place on the shifted logits; subtracting a one-hot row is the
+    same IEEE operation as subtracting 1 at the label and leaves every other
+    entry as it is."""
+    if kind == LossKind.CROSS_ENTROPY:
+        p = z - z.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        p -= t
         return p
     f = z[:, 0]
-    s = _signs(y)
-    m = s * f
+    m = t * f
     if kind == LossKind.LOGISTIC:
         dm = -1.0 / (1.0 + np.exp(m))  # -sigmoid(-m)
-        return (s * dm)[:, None]
+        return (t * dm)[:, None]
     if kind == LossKind.SQUARED:
-        return (2.0 * (f - s))[:, None]
+        return (2.0 * (f - t))[:, None]
     if kind == LossKind.HINGE:
-        return (-s * (m < 1.0))[:, None]
+        return (-t * (m < 1.0))[:, None]
     if kind == LossKind.PERCEPTRON:
-        return (-s * (m < 0.0))[:, None]
+        return (-t * (m < 0.0))[:, None]
     raise ValueError(f"unknown loss kind {kind}")
 
 
@@ -256,22 +273,21 @@ def grad_full(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind)
     """Analytic gradient of `loss_value` w.r.t. every layer; returns a list of
     (dW, db) matching `params.layers`."""
     x = np.asarray(x, dtype=np.float64)
-    return _backprop(params.layers, params.activation, _forward_cached(params, x), y, kind)
+    acts = _forward_cached(params, x)
+    return _backprop(params.layers, params.activation, acts, logit_grads(acts[-1], y, kind))
 
 
-def _backprop(layers, activation: str, cached, y: np.ndarray, kind: LossKind):
-    """Per-layer (dW, db) of the summed loss from a cached forward pass over
-    raw (W, b) pairs; `grad_full` and `sgd_epoch` share it."""
-    pre, acts = cached
-    delta = logit_grads(acts[-1], y, kind)
+def _backprop(layers, activation: str, acts: list, delta: np.ndarray):
+    """Per-layer (dW, db) of the summed loss from `_forward_layers` outputs
+    over raw (W, b) pairs and the logit gradients delta; `grad_full` and
+    `sgd_epoch` share it."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
-        h_in = acts[li]
-        grads[li] = (h_in.T @ delta, delta.sum(axis=0))
+        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
         if li > 0:
             delta = delta @ layers[li][0].T
             if activation == "relu":
-                delta = delta * (pre[li - 1] > 0.0)
+                delta *= acts[li] > 0.0
     return grads
 
 
@@ -285,7 +301,7 @@ def last_layer_per_sample_grads(
     """One row per sample: the gradient of that sample's loss restricted to
     the final layer, laid out as [W row-major, b]."""
     x = np.asarray(x, dtype=np.float64)
-    pre, acts = _forward_cached(params, x)
+    acts = _forward_cached(params, x)
     delta = logit_grads(acts[-1], y, kind)  # (n, C)
     return last_layer_rows(acts[-2], delta)
 
@@ -309,8 +325,11 @@ def sgd_epoch(
     """One pass of mini-batch SGD over the seeded-shuffled subset.
 
     Each batch takes a step of lr times the summed batch gradient; the input
-    params are left unmodified.  The steps update raw (W, b) arrays, and the
-    result is validated (shapes, finiteness) once, at the end of the epoch.
+    params are left unmodified.  The epoch gathers the shuffled rows, checks
+    their labels and encodes them once; each batch then reads contiguous
+    slices and steps a private copy of the (W, b) arrays in place
+    (`gw *= lr; w -= gw` rounds exactly as `w - lr * gw`).  The result is
+    validated (shapes, finiteness) once, at the end of the epoch.
     """
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
@@ -320,12 +339,17 @@ def sgd_epoch(
     if ds.features.shape[1] != params.input_dim:
         raise ValueError("input width does not match first layer")
     order = rng.shuffle(subset)
-    layers = params.layers
+    x = ds.features[order]
+    t = _targets(_check_labels(ds.labels[order], kind, params.out_dim), kind, params.out_dim)
+    layers = [(w.copy(), b.copy()) for w, b in params.layers]
     for start in range(0, len(order), batch_size):
-        batch = order[start:start + batch_size]
-        cached = _forward_layers(layers, params.activation, ds.features[batch])
-        grads = _backprop(layers, params.activation, cached, ds.labels[batch], kind)
-        layers = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(layers, grads)]
+        acts = _forward_layers(layers, params.activation, x[start:start + batch_size])
+        delta = _logit_grads(acts[-1], t[start:start + batch_size], kind)
+        for (w, b), (gw, gb) in zip(layers, _backprop(layers, params.activation, acts, delta)):
+            gw *= lr
+            w -= gw
+            gb *= lr
+            b -= gb
     return ModelParams(tuple(layers), params.activation)
 
 

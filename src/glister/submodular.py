@@ -290,6 +290,11 @@ class _FacilityLocation(SetFunctionOracle):
     w(i, j) = d_max - ||x_i - x_j||^2; uncovered rows contribute 0 (the max
     over an empty set is defined as 0).
 
+    With per_class, a ground row covers only cover rows of its own label.
+    Since w >= 0 (d_max is the largest distance), setting the cross-class
+    entries of `sim` to 0 once, in place, gives every value and gain the
+    clamp max(masked max, 0) would give, with no masking per call.
+
     The oracle remembers the subset of its last call and the column-wise max
     over its rows.  A call whose subset extends that one, as greedy engines
     pass it, folds in only the new rows; since max is exact, the coverage is
@@ -298,21 +303,13 @@ class _FacilityLocation(SetFunctionOracle):
 
     def __init__(self, sim: np.ndarray, cover_labels, ground_labels, per_class: bool):
         super().__init__(sim.shape[0], monotone=True, labels=ground_labels)
+        if per_class:
+            sim[self.labels[:, None] != np.asarray(cover_labels)[None, :]] = 0.0
         self._sim = sim  # (n_ground, n_cover)
-        self._cover_labels = None if cover_labels is None else np.asarray(cover_labels)
-        self._per_class = per_class
+        self._buf = np.empty(sim.shape[1])  # scratch row for `marginal`
         # a copy of the last subset, so later edits by the caller do not leak in
         self._last_rows: list = []
         self._last_best: np.ndarray | None = None
-
-    def _masked(self, rows) -> np.ndarray:
-        """Similarity rows with cross-class entries suppressed to -inf."""
-        block = self._sim[np.asarray(rows, dtype=np.int64)]
-        if not self._per_class:
-            return block
-        ground = self.labels[np.asarray(rows, dtype=np.int64)]
-        mask = ground[:, None] == self._cover_labels[None, :]
-        return np.where(mask, block, -np.inf)
 
     def _coverage(self, subset) -> np.ndarray:
         rows = list(subset)
@@ -322,28 +319,24 @@ class _FacilityLocation(SetFunctionOracle):
         if 0 < seen <= len(rows) and rows[:seen] == self._last_rows:
             best = self._last_best
             if len(rows) > seen:
-                best = np.maximum(best, self._masked(rows[seen:]).max(axis=0))
+                best = np.maximum(best, self._sim[rows[seen:]].max(axis=0))
         else:
-            best = self._masked(rows).max(axis=0)
+            best = self._sim[rows].max(axis=0)
         self._last_rows, self._last_best = rows, best
-        return np.maximum(best, 0.0) if self._per_class else best
+        return best
 
     def value(self, subset) -> float:
         return float(self._coverage(subset).sum())
 
     def marginal(self, e: int, subset) -> float:
-        cov = self._coverage(subset)
-        cand = self._masked([e])[0]
-        if self._per_class:
-            cand = np.maximum(cand, 0.0)
-        return float(np.maximum(cand - cov, 0.0).sum())
+        gain = np.subtract(self._sim[e], self._coverage(subset), out=self._buf)
+        return float(np.maximum(gain, 0.0, out=gain).sum())
 
     def marginals(self, candidates, subset) -> np.ndarray:
         cov = self._coverage(subset)
-        block = self._masked(candidates)
-        if self._per_class:
-            block = np.maximum(block, 0.0)
-        return np.maximum(block - cov[None, :], 0.0).sum(axis=1)
+        block = self._sim[np.asarray(candidates, dtype=np.int64)]
+        block -= cov
+        return np.maximum(block, 0.0, out=block).sum(axis=1)
 
 
 def facility_location(
@@ -374,6 +367,8 @@ def cross_facility_location(
 ) -> SetFunctionOracle:
     """Facility location where selected ground rows cover a separate set of
     rows (used by the nearest-neighbor objective with a reference set)."""
+    if per_class and (ground_labels is None or cover_labels is None):
+        raise ValueError("per_class facility location needs labels")
     g = np.asarray(ground_features, dtype=np.float64)
     c = np.asarray(cover_features, dtype=np.float64)
     g2 = np.einsum("ij,ij->i", g, g)

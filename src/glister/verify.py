@@ -38,6 +38,7 @@ from .models import (
     init_params,
     loss_value,
     output_width,
+    sgd_epoch,
 )
 from .numerics import SeededRng, finite_diff_grad
 from .submodular import (
@@ -524,7 +525,9 @@ def active_experiment(seed: int):
 def suite_determinism(seed: int = 0) -> list[Check]:
     """Criterion: identical config and seed give bit-identical subset digests
     and traces (timing columns excluded, as wall-clock is physical), for
-    glister and for a baseline that reselects (craig)."""
+    glister and for a baseline that reselects (craig), and bit-identical
+    parameters from one SGD epoch, so a BLAS or numpy build that breaks the
+    reproducibility of the in-place step shows here."""
     from .experiments import run_cell, trace_to_csv
 
     checks = []
@@ -549,8 +552,19 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     checks.append(Check("traces bit-identical outside timing columns", t0 == t1))
     craig = [strip_timing(run_cell("craig", train, val, test, spec, cfg, 12)[2]) for _ in range(2)]
     checks.append(Check("craig traces bit-identical outside timing columns", craig[0] == craig[1]))
-    sels = [greedy_dss(train, val, init_model_params(train, spec, cfg), cfg) for _ in range(2)]
+    params = init_model_params(train, spec, cfg)
+    sels = [greedy_dss(train, val, params, cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))
+    subset = list(range(0, train.n, 2))
+    steps = [
+        sgd_epoch(params, train, subset, cfg.lr, cfg.batch_size, SeededRng(seed).split(1), cfg.loss)
+        for _ in range(2)
+    ]
+    same = all(
+        np.array_equal(w0, w1) and np.array_equal(b0, b1)
+        for (w0, b0), (w1, b1) in zip(steps[0].layers, steps[1].layers)
+    )
+    checks.append(Check("sgd_epoch parameters bit-identical", same))
     return checks
 
 

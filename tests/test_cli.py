@@ -19,6 +19,35 @@ BAD_MODELS = [
     pytest.param({"model": "mlp"}, id="model-not-object"),
     pytest.param({"model": {"arch": "mlp", "hidden": "a"}}, id="model-hidden-str"),
     pytest.param({"model": {"arch": "mlp", "hidden": 0}}, id="model-hidden-0"),
+    pytest.param({"model": {"arch": "mlp", "hidden": 2.5}}, id="model-hidden-2.5"),
+    pytest.param({"model": {"arch": "mlp", "hidden": True}}, id="model-hidden-true"),
+]
+
+_DATASET = {"kind": "synthetic", "name": "separable-2", "seed": 3}
+
+# data-side settings that must fail validation, before any output exists
+BAD_DATA = [
+    pytest.param({"dataset": {**_DATASET, "n_per_class": 0}}, id="n_per_class-0"),
+    pytest.param({"dataset": {**_DATASET, "n_per_class": "a"}}, id="n_per_class-str"),
+    pytest.param({"dataset": {**_DATASET, "n_per_class": 12.5}}, id="n_per_class-float"),
+    pytest.param({"split": {"train": 0.5}}, id="split-missing-keys"),
+    pytest.param({"split": {"train": 2, "val": 0.1, "test": 0.1}}, id="split-train-2"),
+    pytest.param({"split": {"train": 0.8, "val": 0.3, "test": 0.1}}, id="split-sum"),
+    pytest.param({"split": {"train": "0.8", "val": 0.1, "test": 0.1}}, id="split-str"),
+    pytest.param({"split": {"train": 0.8, "val": 0.1, "test": 0.1, "seed": 1.5}}, id="split-seed"),
+    pytest.param({"split": [0.8, 0.1, 0.1]}, id="split-list"),
+    pytest.param({"corruption": {"noise_rate": 2}}, id="noise_rate-2"),
+    pytest.param({"corruption": {"noise_rate": "x"}}, id="noise_rate-str"),
+    pytest.param({"corruption": {"noise_rate": -0.1}}, id="noise_rate-neg"),
+    pytest.param({"corruption": "noise"}, id="corruption-str"),
+    pytest.param({"dataset": {**_DATASET, "seed": 2.5}}, id="dataset-seed-float"),
+    pytest.param({"corruption": {"noise_rate": 0.1, "noise_seed": "7"}}, id="noise_seed-str"),
+    pytest.param({"corruption": {"imbalance": [1]}}, id="imbalance-list"),
+    pytest.param({"corruption": {"imbalance": {"keep_frac": "0.5"}}}, id="imbalance-keep-str"),
+    pytest.param({"corruption": {"imbalance": {"affected_frac": 1.0}}}, id="imbalance-affected-1"),
+    pytest.param({"corruption": {"imbalance": {"seed": 1.5}}}, id="imbalance-seed-float"),
+    pytest.param({"standardize": "no"}, id="standardize-str"),
+    pytest.param({"standardize": 0}, id="standardize-0"),
 ]
 
 
@@ -149,6 +178,7 @@ def test_bad_budget_rejected(tmp_path):
         {"budgets": 0.3},
         {"strategies": {"glister": 1}},
         *BAD_MODELS,
+        *BAD_DATA,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -256,6 +286,7 @@ def test_active_cli(tmp_path):
         pytest.param({"strategies": ["fass"], "filter_mult": 0.5}, id="filter_mult=0.5"),
         pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
         *BAD_MODELS,
+        *BAD_DATA,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -288,6 +319,7 @@ def test_verify_determinism_suite(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
+    assert "sgd_epoch parameters bit-identical" in out
 
 
 def test_libsvm_config_path(tmp_path):

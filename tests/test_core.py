@@ -6,6 +6,7 @@ import pytest
 from glister.core import (
     _SELECT_STREAM,
     GlisterConfig,
+    _top_ranked,
     exact_gain,
     exact_objective,
     glister_online_train,
@@ -216,6 +217,24 @@ def test_greedy_dss_r1_is_topk_taylor(blob_data):
     gains = np.array([taylor_gain(state, e) for e in range(train.n)])
     expect = np.lexsort((np.arange(train.n), -gains))[:10]
     assert sel == [int(i) for i in expect]
+
+
+@pytest.mark.parametrize("ties", ["continuous", "tied", "tied-nan"])
+def test_top_ranked_matches_full_lexsort(ties):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        pool = np.sort(rng.choice(500, n, replace=False))
+        if ties == "continuous":
+            scores = rng.normal(size=n)
+        else:
+            scores = rng.integers(-3, 4, n).astype(np.float64)
+            scores[scores == 0] = rng.choice([0.0, -0.0], int((scores == 0).sum()))
+        if ties == "tied-nan":
+            scores[rng.random(n) < 0.3] = np.nan
+        for m in sorted({1, 2, n // 2 or 1, n - 1 or 1, n, n + 5}):
+            want = pool[np.lexsort((pool, -scores))][:m]
+            assert np.array_equal(_top_ranked(pool, scores, m), want)
 
 
 def test_greedy_dss_budget_exact(blob_data):

@@ -210,6 +210,12 @@ def test_sgd_deterministic_given_seed():
         assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
 
+def _assert_same_params(got, want):
+    assert got.activation == want.activation
+    for (w0, b0), (w1, b1) in zip(got.layers, want.layers):
+        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+
 def reference_sgd_epoch(params, ds, subset, lr, batch_size, rng, kind):
     """Per-batch `grad_full` steps, each validated as a new `ModelParams`."""
     order = rng.shuffle(np.asarray(subset, dtype=np.int64))
@@ -233,9 +239,50 @@ def test_sgd_epoch_matches_per_batch_grad_full(kind, arch):
     for t in range(3):
         got = sgd_epoch(got, ds, subset, 0.05, 7, SeededRng(4).split(t), kind)
         want = reference_sgd_epoch(want, ds, subset, 0.05, 7, SeededRng(4).split(t), kind)
-    assert got.activation == want.activation
-    for (w0, b0), (w1, b1) in zip(got.layers, want.layers):
-        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+    _assert_same_params(got, want)
+
+
+@pytest.mark.parametrize("arch", ["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ALL_LOSSES)
+@pytest.mark.parametrize(
+    "size,batch_size,lr",
+    [
+        pytest.param(23, 5, 0.05, id="ragged-last-batch"),
+        pytest.param(9, 50, 0.05, id="batch-larger-than-subset"),
+        pytest.param(12, 1, 0.05, id="batch-1"),
+        pytest.param(23, 5, 0.0, id="lr-0"),
+    ],
+)
+def test_sgd_epoch_edge_cases_match_per_batch_grad_full(kind, arch, size, batch_size, lr):
+    ds = gen_synthetic("separable-2", 30, seed=6)
+    dims = ModelSpec(arch, hidden=5).layer_dims(ds.d, output_width(kind, 2))
+    params = init_params(dims, "relu", SeededRng(3))
+    subset = list(range(1, 1 + 2 * size, 2))
+    got = sgd_epoch(params, ds, subset, lr, batch_size, SeededRng(8), kind)
+    want = reference_sgd_epoch(params, ds, subset, lr, batch_size, SeededRng(8), kind)
+    _assert_same_params(got, want)
+    if lr == 0.0:
+        _assert_same_params(got, params)
+
+
+def test_sgd_epoch_leaves_input_params_unchanged():
+    ds = gen_synthetic("separable-2", 30, seed=6)
+    params = init_params([2, 7, 2], "relu", SeededRng(3))
+    before = [(w.copy(), b.copy()) for w, b in params.layers]
+    out = sgd_epoch(params, ds, list(range(ds.n)), 0.05, 4, SeededRng(8))
+    for (w, b), (w0, b0), (w1, b1) in zip(params.layers, before, out.layers):
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+        assert not np.shares_memory(w, w1) and not np.shares_memory(b, b1)
+        assert not np.array_equal(w, w1)
+
+
+@pytest.mark.parametrize("kind", [LossKind.CROSS_ENTROPY, LossKind.HINGE])
+def test_sgd_epoch_rejects_out_of_range_label(kind):
+    ds = gen_synthetic("separable-4", 10, seed=1)
+    params = init_params([2, output_width(kind, 2)], "identity", SeededRng(0))
+    subset = [int(np.flatnonzero(ds.labels == 0)[0]), int(np.flatnonzero(ds.labels == 3)[0])]
+    with pytest.raises(ValueError, match="label"):
+        sgd_epoch(params, ds, subset, 0.01, 1, SeededRng(1), kind)
 
 
 def test_sgd_diverging_lr_raises():

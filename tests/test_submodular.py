@@ -227,6 +227,17 @@ def test_facility_location_per_class_uncovered_contributes_zero():
     assert f.value([0, 1, 2]) == pytest.approx(3 * d.max())
 
 
+def test_per_class_facility_location_needs_labels():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    labels = np.array([0, 0, 1])
+    with pytest.raises(ValueError, match="needs labels"):
+        facility_location(pts, None, per_class=True)
+    with pytest.raises(ValueError, match="needs labels"):
+        cross_facility_location(pts, labels, pts, None, per_class=True)
+    with pytest.raises(ValueError, match="needs labels"):
+        cross_facility_location(pts, None, pts, labels, per_class=True)
+
+
 def fl_factories(seed, n=40):
     """Constructors of a plain, a per-class and a cross facility location."""
     rng = SeededRng(seed)

@@ -30,7 +30,7 @@ from .models import (
     loss_value,
 )
 from .numerics import SeededRng, log_sum_exp_rows
-from .submodular import facility_location, lazy_greedy
+from .submodular import _top_ranked, facility_location, lazy_greedy
 
 __all__ = [
     "PoolState",
@@ -131,8 +131,7 @@ def fass_acquire(
     unl = np.asarray(pool_state.unlabeled, dtype=np.int64)
     entropy = _predictive_entropy(params, pool.features[unl])
     keep = min(len(unl), max(batch, int(round(filter_mult * batch))))
-    ranked = np.lexsort((unl, -entropy))[:keep]
-    cand = unl[np.sort(ranked)]
+    cand = np.sort(_top_ranked(unl, entropy, keep))
     hyp = hypothesized_labels(params, pool.features[cand])
     oracle = facility_location(pool.features[cand], hyp, per_class=True)
     picked = lazy_greedy(oracle, batch)

@@ -65,5 +65,4 @@ def knn_submod_subset(train: Dataset, reference: Dataset, k: int) -> list[int]:
         train.features, train.labels, reference.features, reference.labels, per_class=True
     )
     quota = MatroidQuota.from_proportions(reference.labels, reference.num_classes, k)
-    # drop quota classes that exist in the reference but not in train (quota 0 anyway)
     return list(lazy_greedy(oracle, k, quota))

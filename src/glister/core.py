@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -43,7 +44,9 @@ from .models import (
     sgd_epoch,
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
-from .submodular import MatroidQuota, SetFunctionOracle, _ModularMinusCut, facility_location
+from .submodular import (
+    MatroidQuota, SetFunctionOracle, _ModularMinusCut, _top_ranked, facility_location,
+)
 
 __all__ = [
     "GlisterConfig",
@@ -77,10 +80,11 @@ _SELECT_STREAM = (1 << 32) + 1
 class GlisterConfig:
     """Knobs for GreedyDSS and the online loop.
 
-    Exactly one of `k` / `budget_frac` fixes the budget.  `refreshes` (or
-    `r_frac`, default 0.03) sets how many times the validation gradient is
-    recomputed exactly; between refreshes stale scores pick k/r elements per
-    round.  `eta` defaults to the optimizer learning rate.
+    Exactly one of `k` / `budget_frac` fixes the budget.  `refreshes` (an
+    integer >= 1, or `r_frac` in (0, 1], default 0.03) sets how many times
+    the validation gradient is recomputed exactly; between refreshes stale
+    scores pick k/r elements per round.  `eta` defaults to the optimizer
+    learning rate.
     """
 
     k: int | None = None
@@ -103,8 +107,16 @@ class GlisterConfig:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.greedy not in GREEDY_VARIANTS:
             raise ValueError(f"unknown greedy variant {self.greedy!r}")
-        if self.select_every < 1:
-            raise ValueError("select_every must be >= 1")
+        for name in ("select_every", "batch_size", "refreshes"):
+            value = getattr(self, name)
+            if value is None and name == "refreshes":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.r_frac is not None and not 0.0 < self.r_frac <= 1.0:
+            raise ValueError("r_frac must lie in (0, 1]")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.regularizer == "random" and self.lam > 1:
@@ -115,8 +127,6 @@ class GlisterConfig:
             raise ValueError("lr must be finite and > 0")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
     def resolve_k(self, n: int) -> int:
         if (self.k is None) == (self.budget_frac is None):
@@ -132,7 +142,6 @@ class GlisterConfig:
         else:
             frac = 0.03 if self.r_frac is None else self.r_frac
             r = int(math.ceil(frac * k))
-        r = max(r, 1)
         if r > k:
             raise ValueError("refreshes cannot exceed the budget")
         return r
@@ -310,9 +319,6 @@ class _ConcaveOverModularProxy(SetFunctionOracle):
         vals = self._term(su[:, None] + self._g[:, cand]).sum(axis=0)
         return vals - base
 
-    def marginal(self, e: int, subset) -> float:
-        return float(self.marginals([int(e)], subset)[0])
-
 
 class _CrossEntropyProxy(SetFunctionOracle):
     """Modular bonus minus a per-validation-point log-sum-exp of shifted
@@ -416,20 +422,6 @@ def _regularizer_marginals(reg, lam, rem_positions, selected_positions):
             return 0.0
         return lam * payload[np.ix_(rem_positions, selected_positions)].sum(axis=1)
     raise AssertionError(kind)
-
-
-def _top_ranked(pool: np.ndarray, scores, m: int) -> np.ndarray:
-    """The first m entries of `pool` ranked by score, best first, ties to the
-    lower position and NaN last: `pool[np.lexsort((pool, -scores))][:m]`.
-    Only the entries at or above the m-th best key are sorted; they are a
-    prefix of the full ranking."""
-    key = -np.asarray(scores, dtype=np.float64)
-    if m < len(pool):
-        kth = np.partition(key, m - 1)[m - 1]
-        if not np.isnan(kth):
-            keep = np.flatnonzero(key <= kth)
-            pool, key = pool[keep], key[keep]
-    return pool[np.lexsort((pool, key))][:m]
 
 
 def greedy_dss(

@@ -350,12 +350,12 @@ def glister_config(raw: dict, seed: int, budget: float | None) -> GlisterConfig:
         lam = _LAMBDA_DEFAULTS.get(regularizer, 0.0)
     return GlisterConfig(
         budget_frac=budget,
-        select_every=int(raw.get("select_every", 20)),
+        select_every=raw.get("select_every", 20),
         refreshes=raw.get("refreshes"),
         r_frac=raw.get("r_frac"),
         eta=raw.get("eta"),
         lr=float(raw.get("lr", 0.05)),
-        batch_size=int(raw.get("batch_size", 32)),
+        batch_size=raw.get("batch_size", 32),
         regularizer=regularizer,
         lam=float(lam),
         greedy=raw.get("greedy", "naive"),

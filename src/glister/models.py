@@ -95,11 +95,6 @@ class ModelParams:
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[1]
 
-    @property
-    def last_layer_size(self) -> int:
-        w, b = self.layers[-1]
-        return w.size + b.size
-
     def last_layer_vector(self) -> np.ndarray:
         w, b = self.layers[-1]
         return np.concatenate([w.ravel(), b])

@@ -1,9 +1,11 @@
 """Constrained set-function maximization plus the closed-form objectives.
 
-Greedy engines break ties by lowest index everywhere so that different
-algorithms select identically.  The facility-location oracle caches the
-coverage of its last subset, so one instance must not be shared between
-threads.
+Every selector ranks by one rule, `_top_ranked`: best score first, ties to
+the lowest index, NaN last (lazy greedy's heap breaks ties the same way), so
+that different algorithms select identically.  The naive, stochastic and
+randomized engines share one step loop, `_greedy`, and differ only in their
+pick.  The facility-location oracle caches the coverage of its last subset,
+so one instance must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ __all__ = [
 class SetFunctionOracle:
     """Evaluable set function over ground set {0..n-1}.
 
-    Subclasses implement `value`; `marginal` defaults to a value difference
-    and `marginals` to a loop, both overridable with vectorized forms.
+    Subclasses implement `value`; `marginals` defaults to a loop of value
+    differences and `marginal` to one entry of `marginals`, so a vectorized
+    `marginals` serves both.
     """
 
     def __init__(self, n: int, monotone: bool, labels: np.ndarray | None = None):
@@ -52,8 +55,7 @@ class SetFunctionOracle:
         raise NotImplementedError
 
     def marginal(self, e: int, subset) -> float:
-        s = list(subset)
-        return self.value(s + [e]) - self.value(s)
+        return float(self.marginals([int(e)], subset)[0])
 
     def marginals(self, candidates, subset) -> np.ndarray:
         base = self.value(list(subset))
@@ -74,6 +76,20 @@ def from_callable(n: int, fn, monotone: bool, labels=None) -> SetFunctionOracle:
     return _CallableOracle(n, fn, monotone, labels)
 
 
+def _top_ranked(pool: np.ndarray, scores, m: int) -> np.ndarray:
+    """The first m entries of `pool` ranked by score, best first, ties to the
+    lower pool entry and NaN last: `pool[np.lexsort((pool, -scores))][:m]`.
+    Only the entries at or above the m-th best key are sorted; they are a
+    prefix of the full ranking."""
+    key = -np.asarray(scores, dtype=np.float64)
+    if m < len(pool):
+        kth = np.partition(key, m - 1)[m - 1]
+        if not np.isnan(kth):
+            keep = np.flatnonzero(key <= kth)
+            pool, key = pool[keep], key[keep]
+    return pool[np.lexsort((pool, key))][:m]
+
+
 @dataclass(frozen=True)
 class MatroidQuota:
     """Per-class selection budget; quotas sum to k exactly."""
@@ -87,73 +103,62 @@ class MatroidQuota:
     @staticmethod
     def from_proportions(reference_labels: np.ndarray, num_classes: int, k: int) -> "MatroidQuota":
         """quota_y = round(k * count_y / total), corrected by largest
-        remainder (ties to the lowest class id) so the sum is exactly k."""
+        remainder (ties to the lowest class id) so the sum is exactly k.
+        The remainders lie in [-1/2, 1/2) and sum to the correction, so at
+        most half the classes move, each by one, and a class losing one has
+        a negative remainder, hence a quota >= 1."""
         counts = np.bincount(np.asarray(reference_labels, dtype=np.int64), minlength=num_classes)
+        if len(counts) > num_classes:
+            raise ValueError("reference labels must lie in [0, num_classes)")
         total = counts.sum()
         if total == 0:
             raise ValueError("empty reference set")
         exact = k * counts / total
         quota = np.floor(exact + 0.5).astype(np.int64)
         diff = k - int(quota.sum())
-        remainders = exact - quota
-        while diff != 0:
-            if diff > 0:
-                order = sorted(range(num_classes), key=lambda c: (-remainders[c], c))
-                quota[order[0]] += 1
-                remainders[order[0]] -= 1.0
-                diff -= 1
-            else:
-                order = sorted(
-                    (c for c in range(num_classes) if quota[c] > 0),
-                    key=lambda c: (remainders[c], c),
-                )
-                quota[order[0]] -= 1
-                remainders[order[0]] += 1.0
-                diff += 1
+        step = int(np.sign(diff))
+        quota[_top_ranked(np.arange(num_classes), step * (exact - quota), abs(diff))] += step
         return MatroidQuota({c: int(quota[c]) for c in range(num_classes) if quota[c] > 0})
 
 
-def _quota_remaining(quota: MatroidQuota | None, labels: np.ndarray | None):
+def _quota_left(f: SetFunctionOracle, k: int, quota: MatroidQuota | None) -> dict | None:
+    """The picks each class has left under `quota`, or None without one."""
     if quota is None:
         return None
-    if labels is None:
+    if quota.total != k:
+        raise ValueError("quota must sum to k")
+    if f.labels is None:
         raise ValueError("quota constraint needs element labels on the oracle")
     return dict(quota.per_class)
 
 
-def _feasible_mask(candidates: np.ndarray, labels, remaining) -> np.ndarray:
-    if remaining is None:
-        return np.ones(len(candidates), dtype=bool)
-    allowed = {c for c, q in remaining.items() if q > 0}
-    return np.array([int(labels[e]) in allowed for e in candidates], dtype=bool)
-
-
-def _consume_quota(remaining, labels, e: int):
-    if remaining is not None:
-        remaining[int(labels[e])] -= 1
+def _greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None, choose) -> list[int]:
+    """The step loop of every non-lazy engine: k times, `choose(feasible,
+    selected)` picks one of the unselected elements whose class still has
+    quota.  Returns elements in selection order."""
+    if k > f.n:
+        raise ValueError("budget exceeds ground set")
+    left = _quota_left(f, k, quota)
+    selected: list[int] = []
+    pool = np.arange(f.n)
+    for _ in range(k):
+        feas = pool
+        if left is not None:
+            feas = pool[np.isin(f.labels[pool], [c for c, q in left.items() if q > 0])]
+            if len(feas) == 0:
+                raise ValueError("infeasible quota: class exhausted")
+        pick = int(choose(feas, selected))
+        selected.append(pick)
+        if left is not None:
+            left[int(f.labels[pick])] -= 1
+        pool = pool[pool != pick]
+    return selected
 
 
 def naive_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None) -> list[int]:
     """k rounds of best-marginal-gain selection; ties to the lowest index.
     Returns elements in selection order."""
-    if k > f.n:
-        raise ValueError("budget exceeds ground set")
-    if quota is not None and quota.total != k:
-        raise ValueError("quota must sum to k")
-    remaining = _quota_remaining(quota, f.labels)
-    selected: list[int] = []
-    pool = np.arange(f.n)
-    for _ in range(k):
-        mask = _feasible_mask(pool, f.labels, remaining)
-        feas = pool[mask]
-        if len(feas) == 0:
-            raise ValueError("infeasible quota: class exhausted")
-        gains = f.marginals(feas, selected)
-        best = feas[int(np.lexsort((feas, -gains))[0])]
-        selected.append(int(best))
-        _consume_quota(remaining, f.labels, best)
-        pool = pool[pool != best]
-    return selected
+    return _greedy(f, k, quota, lambda feas, sel: _top_ranked(feas, f.marginals(feas, sel), 1)[0])
 
 
 class _SelectionList(list):
@@ -168,9 +173,7 @@ def lazy_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None)
     number of oracle evaluations in its `.evaluations` attribute."""
     if k > f.n:
         raise ValueError("budget exceeds ground set")
-    if quota is not None and quota.total != k:
-        raise ValueError("quota must sum to k")
-    remaining = _quota_remaining(quota, f.labels)
+    left = _quota_left(f, k, quota)
     selected: list[int] = []
     evals = 0
     gains = f.marginals(np.arange(f.n), [])
@@ -182,11 +185,12 @@ def lazy_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None)
         if not heap:
             raise ValueError("infeasible quota: class exhausted")
         neg_gain, e, at = heapq.heappop(heap)
-        if remaining is not None and remaining.get(int(f.labels[e]), 0) <= 0:
+        if left is not None and left.get(int(f.labels[e]), 0) <= 0:
             continue  # quota only shrinks, so the element can never return
         if at == len(selected):
             selected.append(e)
-            _consume_quota(remaining, f.labels, e)
+            if left is not None:
+                left[int(f.labels[e])] -= 1
         else:
             g = f.marginal(e, selected)
             evals += 1
@@ -207,77 +211,45 @@ def stochastic_greedy(
     candidates and adds the best; deterministic given the seed."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if k > f.n:
-        raise ValueError("budget exceeds ground set")
-    if quota is not None and quota.total != k:
-        raise ValueError("quota must sum to k")
-    remaining = _quota_remaining(quota, f.labels)
-    sample_size = int(math.ceil((f.n / max(k, 1)) * math.log(1.0 / epsilon)))
-    selected: list[int] = []
-    pool = np.arange(f.n)
-    for _ in range(k):
-        mask = _feasible_mask(pool, f.labels, remaining)
-        feas = pool[mask]
-        if len(feas) == 0:
-            raise ValueError("infeasible quota: class exhausted")
-        s = min(len(feas), max(sample_size, 1))
-        sample = feas[np.sort(rng.choice_no_replace(len(feas), s))]
-        gains = f.marginals(sample, selected)
-        best = sample[int(np.lexsort((sample, -gains))[0])]
-        selected.append(int(best))
-        _consume_quota(remaining, f.labels, best)
-        pool = pool[pool != best]
-    return selected
+    sample_size = max(int(math.ceil((f.n / max(k, 1)) * math.log(1.0 / epsilon))), 1)
+
+    def choose(feas, selected):
+        sample = feas[np.sort(rng.choice_no_replace(len(feas), min(len(feas), sample_size)))]
+        return _top_ranked(sample, f.marginals(sample, selected), 1)[0]
+
+    return _greedy(f, k, quota, choose)
 
 
 def randomized_greedy(f: SetFunctionOracle, k: int, rng: SeededRng) -> list[int]:
     """Non-monotone-safe greedy: each step picks uniformly among the top-k
     feasible elements by marginal gain.  Always returns exactly k elements,
     even when late marginals are negative."""
-    if k > f.n:
-        raise ValueError("budget exceeds ground set")
-    selected: list[int] = []
-    pool = np.arange(f.n)
-    for _ in range(k):
-        gains = f.marginals(pool, selected)
-        order = np.lexsort((pool, -gains))
-        top = pool[order[: min(k, len(pool))]]
-        pick = int(top[rng.randint(len(top))])
-        selected.append(pick)
-        pool = pool[pool != pick]
-    return selected
+
+    def choose(feas, selected):
+        top = _top_ranked(feas, f.marginals(feas, selected), k)
+        return top[rng.randint(len(top))]
+
+    return _greedy(f, k, None, choose)
 
 
 def exhaustive_max(
     f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None
 ) -> tuple[tuple[int, ...], float]:
     """True optimum by enumeration; refuses instances beyond 2e6 subsets."""
-    if quota is None:
-        total = math.comb(f.n, k)
-        if total > 2_000_000:
-            raise ValueError("combinatorial budget exceeded")
-        best_set, best_val = None, -math.inf
-        for subset in itertools.combinations(range(f.n), k):
-            v = f.value(subset)
-            if v > best_val:
-                best_set, best_val = subset, v
-        return best_set, best_val
-    if quota.total != k:
-        raise ValueError("quota must sum to k")
-    if f.labels is None:
-        raise ValueError("quota constraint needs element labels on the oracle")
-    groups = []
+    left = _quota_left(f, k, quota)
+    if left is None:
+        groups = [(range(f.n), k)]
+    else:
+        groups = [(np.flatnonzero(f.labels == c).tolist(), q) for c, q in sorted(left.items())]
     total = 1
-    for c, q in sorted(quota.per_class.items()):
-        members = [int(i) for i in np.flatnonzero(f.labels == c)]
-        if len(members) < q:
+    for members, q in groups:
+        if left is not None and len(members) < q:
             raise ValueError("infeasible quota: class exhausted")
         total *= math.comb(len(members), q)
-        groups.append(itertools.combinations(members, q))
         if total > 2_000_000:
             raise ValueError("combinatorial budget exceeded")
     best_set, best_val = None, -math.inf
-    for combo in itertools.product(*groups):
+    for combo in itertools.product(*(itertools.combinations(m, q) for m, q in groups)):
         subset = tuple(sorted(itertools.chain.from_iterable(combo)))
         v = f.value(subset)
         if v > best_val:
@@ -398,24 +370,24 @@ class _NbFeature(SetFunctionOracle):
         self._codes = train_codes
         self._weights = weights
 
-    def value(self, subset) -> float:
+    def _counts(self, subset) -> dict[int, int]:
+        """Selected rows per cell."""
         subset = list(subset)
+        if not subset:
+            return {}
+        cells, freq = np.unique(self._codes[subset].ravel(), return_counts=True)
+        return dict(zip(cells.tolist(), freq.tolist()))
+
+    def value(self, subset) -> float:
+        counts = self._counts(subset)
         total = 0.0
-        counts: dict[int, int] = {}
-        if subset:
-            cells, freq = np.unique(self._codes[subset].ravel(), return_counts=True)
-            counts = dict(zip(cells.tolist(), freq.tolist()))
         for cell, w in self._weights.items():
             m = counts.get(cell, 0)
             total += w * (math.log(m) if m > 0 else math.log(self.EPS_SMOOTH))
         return total
 
     def marginals(self, candidates, subset) -> np.ndarray:
-        subset = list(subset)
-        counts: dict[int, int] = {}
-        if subset:
-            cells, freq = np.unique(self._codes[subset].ravel(), return_counts=True)
-            counts = dict(zip(cells.tolist(), freq.tolist()))
+        counts = self._counts(subset)
         out = np.zeros(len(candidates))
         for ci, e in enumerate(candidates):
             gain = 0.0
@@ -430,9 +402,6 @@ class _NbFeature(SetFunctionOracle):
                     gain += w * (math.log(m + 1) - math.log(m))
             out[ci] = gain
         return out
-
-    def marginal(self, e: int, subset) -> float:
-        return float(self.marginals([int(e)], subset)[0])
 
 
 def nb_feature_function(train: Dataset, val: Dataset) -> SetFunctionOracle:
@@ -513,9 +482,6 @@ class _ModularMinusCut(SetFunctionOracle):
         if s.size:
             gains = gains - self.cut[np.ix_(cand, s)].sum(axis=1) - self.cut[np.ix_(s, cand)].sum(axis=0)
         return gains
-
-    def marginal(self, e: int, subset) -> float:
-        return float(self.marginals([int(e)], subset)[0])
 
 
 def lr_submodular(

@@ -23,6 +23,17 @@ BAD_MODELS = [
     pytest.param({"model": {"arch": "mlp", "hidden": True}}, id="model-hidden-true"),
 ]
 
+# selection counts and refresh settings that must fail validation instead of
+# running truncated, or crashing after the output directory exists
+BAD_SELECTION = [
+    pytest.param({"select_every": 2.5}, id="select_every-2.5"),
+    pytest.param({"batch_size": 2.5}, id="batch_size-2.5"),
+    pytest.param({"refreshes": 2.5}, id="refreshes-2.5"),
+    pytest.param({"refreshes": 0}, id="refreshes-0"),
+    pytest.param({"r_frac": -1}, id="r_frac-neg"),
+    pytest.param({"r_frac": 5.0}, id="r_frac-5.0"),
+]
+
 _DATASET = {"kind": "synthetic", "name": "separable-2", "seed": 3}
 
 # data-side settings that must fail validation, before any output exists
@@ -179,6 +190,7 @@ def test_bad_budget_rejected(tmp_path):
         {"strategies": {"glister": 1}},
         *BAD_MODELS,
         *BAD_DATA,
+        *BAD_SELECTION,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -287,6 +299,7 @@ def test_active_cli(tmp_path):
         pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
         *BAD_MODELS,
         *BAD_DATA,
+        *BAD_SELECTION,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )

@@ -6,7 +6,6 @@ import pytest
 from glister.core import (
     _SELECT_STREAM,
     GlisterConfig,
-    _top_ranked,
     exact_gain,
     exact_objective,
     glister_online_train,
@@ -31,7 +30,7 @@ from glister.models import (
     sgd_epoch,
 )
 from glister.numerics import SeededRng
-from glister.submodular import exhaustive_max, from_callable
+from glister.submodular import _top_ranked, exhaustive_max, from_callable
 
 
 def last_layer_grad_sum(params, x, y, kind):
@@ -439,6 +438,18 @@ def test_config_validation():
         GlisterConfig().resolve_k(100)
     assert GlisterConfig(budget_frac=0.3).resolve_k(100) == 30
     assert GlisterConfig(k=100).resolve_r(100) == 3  # ceil(0.03 * 100)
+    assert GlisterConfig(k=100, r_frac=1.0).resolve_r(100) == 100
+    for bad in (
+        {"select_every": 2.5},
+        {"batch_size": 2.5},
+        {"refreshes": 2.5},
+        {"refreshes": 0},
+        {"r_frac": -1},
+        {"r_frac": 5.0},
+        {"select_every": None},
+    ):
+        with pytest.raises(ValueError):
+            GlisterConfig(k=10, **bad)
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,107 @@ def test_greedy_quota_infeasible():
         naive_greedy(f, quota.total, quota)
 
 
+def _stepwise_quota(reference_labels, num_classes, k):
+    """The largest-remainder correction as a loop of single moves, each to the
+    best-ranked class at that step (ties to the lowest class id)."""
+    counts = np.bincount(reference_labels, minlength=num_classes)
+    exact = k * counts / counts.sum()
+    quota = np.floor(exact + 0.5).astype(np.int64)
+    diff = k - int(quota.sum())
+    remainders = exact - quota
+    while diff != 0:
+        step = 1 if diff > 0 else -1
+        if step > 0:
+            c = min(range(num_classes), key=lambda c: (-remainders[c], c))
+        else:
+            c = min((c for c in range(num_classes) if quota[c] > 0), key=lambda c: (remainders[c], c))
+        quota[c] += step
+        remainders[c] -= step
+        diff -= step
+    return {c: int(quota[c]) for c in range(num_classes) if quota[c] > 0}
+
+
+def test_quota_from_proportions_matches_stepwise_correction():
+    rng = np.random.default_rng(5)
+    for _ in range(1500):
+        c = int(rng.integers(1, 12))
+        counts = rng.integers(0, 30, c)
+        counts[rng.random(c) < 0.3] = 0  # zero-count classes
+        counts[0] += counts.sum() == 0
+        labels = rng.permutation(np.repeat(np.arange(c), counts))
+        k = int(rng.integers(0, 2 * counts.sum() + 3))  # up to above the total
+        assert MatroidQuota.from_proportions(labels, c, k).per_class == _stepwise_quota(labels, c, k)
+    with pytest.raises(ValueError, match="num_classes"):
+        MatroidQuota.from_proportions(np.array([0, 1, 2, 2]), 2, 3)
+
+
+def _stepwise_greedy(f, k, quota=None, rng=None, sample_size=None, top_k=None):
+    """Reference step loop with a full lexsort ranking: the feasible pool under
+    the quota left, optionally a seeded sample of `sample_size` from it, then
+    the best entry, or with `top_k` a uniform pick among the first top_k."""
+    left = None if quota is None else dict(quota.per_class)
+    selected, pool = [], np.arange(f.n)
+    for _ in range(k):
+        feas = pool
+        if left is not None:
+            allowed = {c for c, q in left.items() if q > 0}
+            feas = pool[np.array([int(f.labels[e]) in allowed for e in pool], dtype=bool)]
+        if sample_size is not None:
+            s = min(len(feas), max(sample_size, 1))
+            feas = feas[np.sort(rng.choice_no_replace(len(feas), s))]
+        ranked = feas[np.lexsort((feas, -f.marginals(feas, selected)))]
+        if top_k is None:
+            pick = int(ranked[0])
+        else:
+            top = ranked[: min(top_k, len(ranked))]
+            pick = int(top[rng.randint(len(top))])
+        selected.append(pick)
+        if left is not None:
+            left[int(f.labels[pick])] -= 1
+        pool = pool[pool != pick]
+    return selected
+
+
+def _pin_oracles(seed, n=14):
+    rng = SeededRng(seed)
+    labels = np.array([rng.randint(3) for _ in range(n)])
+    weights = np.round(rng.normals(n), 1)  # one decimal, so gains tie
+    pts = rng.normals(2 * n).reshape(n, 2)
+    mod = rng.uniforms(n) * 4
+    cut = np.abs(rng.normals(n * n)).reshape(n, n) * 0.2
+    cut = (cut + cut.T) / 2
+
+    def modular_minus_cut(s):
+        s = list(s)
+        return float(mod[s].sum() - cut[np.ix_(s, s)].sum()) if s else 0.0
+
+    return [
+        modular_oracle(weights, labels),
+        facility_location(pts, labels),
+        from_callable(n, modular_minus_cut, False, labels),
+    ]
+
+
+def test_greedy_engines_match_stepwise_loop():
+    k = 5
+    for seed in range(6):
+        for f in _pin_oracles(seed):
+            quota = MatroidQuota.from_proportions(f.labels, 3, k)
+            for q in (None, quota):
+                assert naive_greedy(f, k, q) == _stepwise_greedy(f, k, q)
+                for eps in (0.05, 0.5):
+                    got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+                    size = int(math.ceil((f.n / k) * math.log(1.0 / eps)))
+                    want = _stepwise_greedy(f, k, q, want_rng, sample_size=size)
+                    assert stochastic_greedy(f, k, eps, got_rng, q) == want
+                    assert got_rng._counter == want_rng._counter
+            for kk in (1, 4, f.n):
+                got_rng, want_rng = SeededRng(seed + 50), SeededRng(seed + 50)
+                want = _stepwise_greedy(f, kk, rng=want_rng, top_k=kk)
+                assert randomized_greedy(f, kk, got_rng) == want
+                assert got_rng._counter == want_rng._counter
+
+
 def test_facility_location_identical_points():
     pts = np.ones((4, 2))
     f = facility_location(pts)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 ACQUIRE_STRATEGIES = ("glister", "random", "fass")
+FILTER_MULT = 5.0  # fass keeps the FILTER_MULT * batch most uncertain points
 
 
 @dataclass
@@ -119,7 +120,6 @@ def fass_acquire(
     params: ModelParams,
     batch: int,
     filter_mult: float,
-    rng: SeededRng,
 ) -> list[int]:
     """Uncertainty-filtered coverage: keep the filter_mult * batch most
     uncertain unlabeled points (entropy ties break by index), then pick the
@@ -149,7 +149,7 @@ def run_active(
     rounds: int,
     batch: int,
     epochs_per_round: int,
-    filter_mult: float = 5.0,
+    filter_mult: float = FILTER_MULT,
 ) -> tuple[ModelParams, PoolState, ActiveTrace]:
     """Shared acquisition loop: per round, train on the labeled set
     (continuing from the previous parameters), acquire a batch from the
@@ -177,7 +177,7 @@ def run_active(
         if strategy == "random":
             chosen = random_acquire(state, batch, rng)
         elif strategy == "fass":
-            chosen = fass_acquire(pool, state, params, batch, filter_mult, rng)
+            chosen = fass_acquire(pool, state, params, batch, filter_mult)
         else:
             unl = np.asarray(state.unlabeled, dtype=np.int64)
             hyp = hypothesized_labels(params, pool.features[unl])

@@ -63,7 +63,13 @@ def cmd_verify(suite: str, seed: int = 0) -> int:
 
 
 def cmd_bench(n: int, d: int, k: int, r_frac: float, out: str | None = None) -> int:
-    result = run_bench(n, d, k, r_frac)
+    """Time selection and training; exit 2 for a k outside [1, n] or an
+    r_frac outside (0, 1], before anything runs."""
+    try:
+        result = run_bench(n, d, k, r_frac)
+    except ConfigError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return 2
     text = json.dumps(result, indent=2)
     if out:
         Path(out).write_text(text)

@@ -115,10 +115,16 @@ class GlisterConfig:
                 raise ValueError(f"{name} must be an integer")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("r_frac", "eta", "lr", "lam", "epsilon"):
+            value = getattr(self, name)
+            if value is None and name in ("r_frac", "eta"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
         if self.r_frac is not None and not 0.0 < self.r_frac <= 1.0:
             raise ValueError("r_frac must lie in (0, 1]")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be finite and nonnegative")
         if self.regularizer == "random" and self.lam > 1:
             raise ValueError("random regularizer needs lambda in [0, 1]")
         if not 0.0 < self.epsilon < 1.0:
@@ -429,7 +435,6 @@ def greedy_dss(
     val: Dataset,
     params: ModelParams,
     cfg: GlisterConfig,
-    candidates=None,
     rng: SeededRng | None = None,
     k: int | None = None,
 ) -> list[int]:
@@ -441,8 +446,7 @@ def greedy_dss(
     the final round), and folds the chosen gradients into the lookahead.
     Deterministic given the config seed; returns indices in selection order.
     """
-    cand = np.arange(train.n) if candidates is None else np.asarray(candidates, dtype=np.int64)
-    n_cand = len(cand)
+    n_cand = train.n
     k_total = cfg.resolve_k(n_cand) if k is None else k
     if not 1 <= k_total <= n_cand:
         raise ValueError(f"budget {k_total} out of range for {n_cand} candidates")
@@ -458,13 +462,13 @@ def greedy_dss(
 
     reg = None
     if cfg.regularizer == "facility_location":
-        oracle = facility_location(train.features[cand], train.labels[cand], per_class=True)
+        oracle = facility_location(train.features, train.labels, per_class=True)
         reg = ("facility_location", oracle)
     elif cfg.regularizer == "diversity":
-        dists = np.sqrt(pairwise_sq_dists(train.features[cand]))
+        dists = np.sqrt(pairwise_sq_dists(train.features))
         reg = ("diversity", dists)
 
-    state = make_gain_state(params, train, cand, cfg.loss, eta)
+    state = make_gain_state(params, train, np.arange(n_cand), cfg.loss, eta)
     order: list[int] = []
     remaining = np.arange(n_cand)
 
@@ -501,7 +505,7 @@ def greedy_dss(
     if k_rand > 0:
         extra = remaining[np.sort(rng.choice_no_replace(len(remaining), k_rand))]
         order.extend(int(p) for p in extra)
-    return [int(cand[p]) for p in order]
+    return order
 
 
 # ---------------------------------------------------------------------------

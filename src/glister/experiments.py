@@ -13,12 +13,13 @@ import io
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .active import ACQUIRE_STRATEGIES, run_active
+from .active import ACQUIRE_STRATEGIES, FILTER_MULT, run_active
 from .baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subset
 from .core import (
     EpochRecord,
@@ -112,49 +113,8 @@ def derive_run_seed(config_seed: int, strategy: str, budget_index: int) -> int:
     return _mix((config_seed ^ strat_hash ^ budget_index) & 0xFFFFFFFFFFFFFFFF)
 
 
-# keys shared by `glister run` and `glister active` configs
-_COMMON_KEYS = {
-    "schema_version",
-    "dataset",
-    "split",
-    "standardize",
-    "model",
-    "loss",
-    "strategies",
-    "select_every",
-    "refreshes",
-    "r_frac",
-    "lr",
-    "batch_size",
-    "eta",
-    "lambda",
-    "regularizer",
-    "greedy",
-    "epsilon",
-    "seeds",
-    "corruption",
-    "output_dir",
-}
-_CONFIG_KEYS = _COMMON_KEYS | {"budgets", "epochs"}
-_ACTIVE_KEYS = _COMMON_KEYS | {"rounds", "batch", "epochs_per_round", "initial_labeled", "filter_mult"}
-
-# selection settings read into GlisterConfig, whose constructor checks ranges
-_NUMBER_KEYS = ("select_every", "refreshes", "r_frac", "lr", "batch_size", "eta", "lambda", "epsilon")
-
-
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """A validated `glister run` or `glister active` config."""
-
-    raw: dict
-
-    @property
-    def output_dir(self) -> Path:
-        return Path(self.raw["output_dir"])
 
 
 def _is_number(value) -> bool:
@@ -167,12 +127,150 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_count(value) -> bool:
-    """True for a JSON integer (not a bool) >= 1."""
-    return _is_int(value) and value >= 1
+# the rule of every config value, keyed by the words its error message uses
+_RULES = {
+    "an integer": _is_int,
+    "an integer >= 1": lambda v: _is_int(v) and v >= 1,
+    "an integer >= 2": lambda v: _is_int(v) and v >= 2,
+    "a number": _is_number,
+    "a number in [0, 1)": lambda v: _is_number(v) and 0.0 <= v < 1.0,
+    "a number in (0, 1)": lambda v: _is_number(v) and 0.0 < v < 1.0,
+    "a finite number >= 1": lambda v: _is_number(v) and 1 <= v < math.inf,
+    "a list": lambda v: isinstance(v, list),
+    "a list of numbers in (0, 1]": lambda v: (
+        isinstance(v, list) and all(_is_number(b) and 0.0 < b <= 1.0 for b in v)
+    ),
+    "a non-empty list of integers": lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "'synthetic' or 'libsvm'": lambda v: v in ("synthetic", "libsvm"),
+    "a known synthetic kind": lambda v: v in SYNTHETIC_KINDS,
+}
+_REQUIRED = object()
 
 
-def _validate(raw: dict, active: bool) -> None:
+def _read(table: dict, name: str, default, rule: str):
+    """The value of config key `name` (dotted; its last part keys `table`),
+    or `default` when absent; a value breaking `rule` raises ConfigError."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in table:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {name!r}")
+        return default
+    if not _RULES[rule](table[key]):
+        raise ConfigError(f"{name} must be {rule}")
+    return table[key]
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """Where a run's rows come from, how they split and what corrupts the
+    train part.  A seed of None means the run seed."""
+
+    source: str  # a synthetic kind, or the path of a LIBSVM file
+    libsvm: bool
+    n_per_class: int
+    seed: int | None
+    split: SplitSpec
+    noise: tuple | None  # (rate, seed), or no label noise
+    imbalance: tuple | None  # (affected_frac, keep_frac, seed), or none
+    standardize: bool
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A parsed `glister run` or `glister active` config: every value a run
+    uses, checked once and with its default applied.  `selection` is a
+    template with seed 0 and no budget, which each cell completes."""
+
+    output_dir: Path
+    strategies: list
+    seeds: list
+    data: DataSpec
+    model: ModelSpec
+    selection: GlisterConfig
+    # `glister run` reads budgets and epochs, `glister active` the rest
+    budgets: Sequence[float] = ()
+    epochs: int = 200
+    rounds: int = 10
+    batch: int = 50
+    epochs_per_round: int = 200
+    initial_labeled: int = 20
+    filter_mult: float = FILTER_MULT
+
+
+# the ExperimentConfig fields a config may set; the ones it leaves out keep
+# their defaults there
+_LOOP_RULES = {
+    "budgets": "a list of numbers in (0, 1]",
+    **dict.fromkeys(("epochs", "rounds", "batch", "epochs_per_round", "initial_labeled"), "an integer >= 1"),
+    "filter_mult": "a finite number >= 1",
+}
+# selection settings, passed to GlisterConfig only when set, so that its
+# defaults and range checks are the only ones
+_SELECTION_KEYS = (
+    "select_every", "refreshes", "r_frac", "lr", "batch_size", "eta", "regularizer", "greedy", "epsilon",
+)
+_COMMON_KEYS = {
+    "schema_version", "dataset", "split", "standardize", "corruption", "model", "loss", "lambda",
+    "strategies", "seeds", "output_dir", *_SELECTION_KEYS,
+}
+_CONFIG_KEYS = _COMMON_KEYS | {"budgets", "epochs"}
+_ACTIVE_KEYS = _COMMON_KEYS | {"rounds", "batch", "epochs_per_round", "initial_labeled", "filter_mult"}
+
+# documented defaults when the config leaves lambda unset
+_LAMBDA_DEFAULTS = {"none": 0.0, "random": 0.9, "facility_location": 100.0, "diversity": 1.0}
+
+
+def glister_config(raw: dict) -> GlisterConfig:
+    """The selection template (seed 0, no budget) from the keys the config
+    sets; an unset or null `lambda` takes its regularizer's default."""
+    settings = {key: raw[key] for key in _SELECTION_KEYS if key in raw}
+    if "loss" in raw:
+        settings["loss"] = LossKind(raw["loss"])
+    template = GlisterConfig(**settings)
+    lam = raw.get("lambda")
+    return replace(template, lam=_LAMBDA_DEFAULTS[template.regularizer] if lam is None else lam)
+
+
+def _data_spec(raw: dict) -> DataSpec:
+    ds = _read(raw, "dataset", _REQUIRED, "a JSON object")
+    libsvm = _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm"
+    if libsvm:
+        source = _read(ds, "dataset.path", _REQUIRED, "a string")
+    else:
+        source = _read(ds, "dataset.name", _REQUIRED, "a known synthetic kind")
+    spec = _read(raw, "split", {"train": 0.8, "val": 0.1, "test": 0.1}, "a JSON object")
+    fracs = [_read(spec, f"split.{key}", _REQUIRED, "a number") for key in ("train", "val", "test")]
+    try:
+        split_spec = SplitSpec(*fracs, _read(spec, "split.seed", 1, "an integer"))
+    except ValueError as exc:
+        raise ConfigError(f"invalid split: {exc}") from None
+    corruption = _read(raw, "corruption", {}, "a JSON object")
+    noise = imbalance = None
+    if "noise_rate" in corruption:
+        noise = (
+            _read(corruption, "corruption.noise_rate", None, "a number in [0, 1)"),
+            _read(corruption, "corruption.noise_seed", None, "an integer"),
+        )
+    if "imbalance" in corruption:
+        imb = _read(corruption, "corruption.imbalance", None, "a JSON object")
+        imbalance = (
+            _read(imb, "corruption.imbalance.affected_frac", 0.3, "a number in (0, 1)"),
+            _read(imb, "corruption.imbalance.keep_frac", 0.1, "a number in (0, 1)"),
+            _read(imb, "corruption.imbalance.seed", None, "an integer"),
+        )
+    return DataSpec(
+        source, libsvm, _read(ds, "dataset.n_per_class", 250, "an integer >= 2"),
+        _read(ds, "dataset.seed", None, "an integer"), split_spec, noise, imbalance,
+        _read(raw, "standardize", True, "true or false"),
+    )
+
+
+def _parse(raw, active: bool) -> ExperimentConfig:
+    """Check every key of a decoded config and return the values a run
+    uses; raises ConfigError before anything is built or written."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - (_ACTIVE_KEYS if active else _CONFIG_KEYS)
@@ -180,199 +278,65 @@ def _validate(raw: dict, active: bool) -> None:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError("schema_version must be 1")
-    for key in ("dataset", "seeds", "output_dir", "strategies"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    ds = raw["dataset"]
-    if not isinstance(ds, dict):
-        raise ConfigError("dataset must be a JSON object")
-    if ds.get("kind") == "synthetic":
-        if ds.get("name") not in SYNTHETIC_KINDS:
-            raise ConfigError(f"unknown synthetic dataset {ds.get('name')!r}")
-    elif ds.get("kind") == "libsvm":
-        if "path" not in ds:
-            raise ConfigError("libsvm dataset needs a path")
-    else:
-        raise ConfigError("dataset.kind must be 'synthetic' or 'libsvm'")
-    _validate_data(raw)
-    seeds = raw["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a non-empty list")
-    if not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds must be integers")
-    # loop lengths and sizes
-    counts = ("rounds", "batch", "epochs_per_round", "initial_labeled") if active else ("epochs",)
-    for key in counts:
-        if key in raw and not _is_count(raw[key]):
-            raise ConfigError(f"{key} must be an integer >= 1")
-    for key in _NUMBER_KEYS:
-        if raw.get(key) is not None and not _is_number(raw[key]):
-            raise ConfigError(f"{key} must be a number")
-    if "filter_mult" in raw:
-        mult = raw["filter_mult"]
-        if not (_is_number(mult) and math.isfinite(mult) and mult >= 1):
-            raise ConfigError("filter_mult must be a finite number >= 1")
-    try:
-        _model_spec(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from None
-    try:
-        glister_config(raw, 0, None)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid selection settings: {exc}") from None
-    strategies = raw["strategies"]
-    if not isinstance(strategies, list):
-        raise ConfigError("strategies must be a list")
-    valid = ACQUIRE_STRATEGIES if active else STRATEGIES
-    bad = [s for s in strategies if not isinstance(s, str) or s not in valid]
+    strategies = _read(raw, "strategies", _REQUIRED, "a list")
+    bad = [s for s in strategies if s not in (ACQUIRE_STRATEGIES if active else STRATEGIES)]
     if bad:
         raise ConfigError(f"unknown strategies: {bad}")
-    if not active:
-        budgets = raw.get("budgets", [])
-        if not isinstance(budgets, list) or not all(_is_number(b) for b in budgets):
-            raise ConfigError("budgets must be a list of numbers")
-        if not all(0.0 < b <= 1.0 for b in budgets):
-            raise ConfigError("budget fractions must lie in (0, 1]")
-        if any(s != "full" for s in strategies) and not budgets:
-            raise ConfigError("non-full strategies need budgets")
-
-
-def _validate_data(raw: dict) -> None:
-    """The data-side keys `build_datasets` reads, checked without coercion."""
-    ds = raw["dataset"]
-    n_per_class = ds.get("n_per_class", 250)
-    if not (_is_count(n_per_class) and n_per_class >= 2):
-        raise ConfigError("dataset.n_per_class must be an integer >= 2")
-    if "split" in raw:
-        spec = raw["split"]
-        if not isinstance(spec, dict) or not {"train", "val", "test"} <= set(spec):
-            raise ConfigError("split must be an object with train, val and test fractions")
-        fracs = [spec[key] for key in ("train", "val", "test")]
-        seed = spec.get("seed", 1)
-        if not all(_is_number(f) for f in fracs) or not _is_int(seed):
-            raise ConfigError("split fractions must be numbers and its seed an integer")
-        try:
-            SplitSpec(*fracs, seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid split: {exc}") from None
-    corruption = raw.get("corruption") or {}
-    if not isinstance(corruption, dict):
-        raise ConfigError("corruption must be a JSON object")
-    rate = corruption.get("noise_rate", 0.0)
-    if not (_is_number(rate) and 0.0 <= rate < 1.0):
-        raise ConfigError("corruption.noise_rate must be a number in [0, 1)")
-    imbalance = corruption.get("imbalance", {})
-    if not isinstance(imbalance, dict) or not all(
-        _is_number(imbalance.get(key, 0.5)) and 0.0 < imbalance.get(key, 0.5) < 1.0
-        for key in ("affected_frac", "keep_frac")
-    ):
-        raise ConfigError("corruption.imbalance needs affected_frac and keep_frac in (0, 1)")
-    seeds = (ds.get("seed", 0), corruption.get("noise_seed", 0), imbalance.get("seed", 0))
-    if not all(_is_int(s) for s in seeds):
-        raise ConfigError("dataset, noise and imbalance seeds must be integers")
-    if not isinstance(raw.get("standardize", True), bool):
-        raise ConfigError("standardize must be true or false")
+    loop = {key: _read(raw, key, None, rule) for key, rule in _LOOP_RULES.items() if key in raw}
+    if not active and not loop.get("budgets") and any(s != "full" for s in strategies):
+        raise ConfigError("non-full strategies need budgets")
+    output_dir = Path(_read(raw, "output_dir", _REQUIRED, "a string"))
+    seeds = _read(raw, "seeds", _REQUIRED, "a non-empty list of integers")
+    data = _data_spec(raw)
+    model_keys = _read(raw, "model", {}, "a JSON object")
+    try:
+        model = ModelSpec(**{"arch": "mlp", **model_keys})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model: {exc}") from None
+    try:
+        selection = glister_config(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid selection settings: {exc}") from None
+    return ExperimentConfig(output_dir, strategies, seeds, data, model, selection, **loop)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    raw = json.loads(Path(path).read_text())
-    _validate(raw, active=False)
-    return ExperimentConfig(raw)
+    return _parse(json.loads(Path(path).read_text()), active=False)
 
 
 def load_active_config(path) -> ExperimentConfig:
-    raw = json.loads(Path(path).read_text())
-    _validate(raw, active=True)
-    return ExperimentConfig(raw)
+    return _parse(json.loads(Path(path).read_text()), active=True)
 
 
-def build_datasets(raw: dict, seed: int):
+def build_datasets(data: DataSpec, seed: int):
     """Materialize (train, val, test) plus the achieved feature-norm bound
     for one run: generate or load, split, corrupt the train part, and
     standardize unless disabled."""
-    ds_spec = raw["dataset"]
-    split_spec = raw.get("split", {"train": 0.8, "val": 0.1, "test": 0.1, "seed": 1})
-    if ds_spec["kind"] == "synthetic":
-        kind = ds_spec["name"]
-        n_per_class = int(ds_spec.get("n_per_class", 250))
-        gen_seed = int(ds_spec.get("seed", seed))
-        out = gen_synthetic(kind, n_per_class, gen_seed)
+    if data.libsvm:
+        train, val, test = split(parse_libsvm(Path(data.source).read_bytes()), data.split)
+    else:
+        gen_seed = seed if data.seed is None else data.seed
+        out = gen_synthetic(data.source, data.n_per_class, gen_seed)
         if isinstance(out, tuple):
             # shifted-validation kinds: the full base set trains, and both
             # validation and test come from the shifted distribution
             train, val = out
-            _, test = gen_synthetic(kind, max(n_per_class // 4, 2), gen_seed + 1)
+            _, test = gen_synthetic(data.source, max(data.n_per_class // 4, 2), gen_seed + 1)
         else:
-            train, val, test = split(
-                out,
-                SplitSpec(
-                    split_spec["train"], split_spec["val"], split_spec["test"],
-                    split_spec.get("seed", 1),
-                ),
-            )
-    else:
-        base = parse_libsvm(Path(ds_spec["path"]).read_bytes())
-        train, val, test = split(
-            base,
-            SplitSpec(
-                split_spec["train"], split_spec["val"], split_spec["test"],
-                split_spec.get("seed", 1),
-            ),
-        )
-    corruption = raw.get("corruption") or {}
-    if "noise_rate" in corruption:
-        train = inject_label_noise(
-            train, float(corruption["noise_rate"]), int(corruption.get("noise_seed", seed))
-        )
-    if "imbalance" in corruption:
-        imb = corruption["imbalance"]
+            train, val, test = split(out, data.split)
+    if data.noise is not None:
+        rate, noise_seed = data.noise
+        train = inject_label_noise(train, rate, seed if noise_seed is None else noise_seed)
+    if data.imbalance is not None:
+        affected_frac, keep_frac, imb_seed = data.imbalance
         train = inject_class_imbalance(
-            train,
-            float(imb.get("affected_frac", 0.3)),
-            float(imb.get("keep_frac", 0.1)),
-            int(imb.get("seed", seed)),
+            train, affected_frac, keep_frac, seed if imb_seed is None else imb_seed
         )
     max_norm = float(np.sqrt((train.features**2).sum(axis=1)).max())
-    if raw.get("standardize", True):
+    if data.standardize:
         train, (val, test), stats = standardize(train, (val, test))
         max_norm = stats.max_row_norm
     return train, val, test, max_norm
-
-
-# documented defaults when the config leaves lambda unset
-_LAMBDA_DEFAULTS = {"none": 0.0, "random": 0.9, "facility_location": 100.0, "diversity": 1.0}
-
-
-def glister_config(raw: dict, seed: int, budget: float | None) -> GlisterConfig:
-    regularizer = raw.get("regularizer", "none")
-    lam = raw.get("lambda")
-    if lam is None:
-        lam = _LAMBDA_DEFAULTS.get(regularizer, 0.0)
-    return GlisterConfig(
-        budget_frac=budget,
-        select_every=raw.get("select_every", 20),
-        refreshes=raw.get("refreshes"),
-        r_frac=raw.get("r_frac"),
-        eta=raw.get("eta"),
-        lr=float(raw.get("lr", 0.05)),
-        batch_size=raw.get("batch_size", 32),
-        regularizer=regularizer,
-        lam=float(lam),
-        greedy=raw.get("greedy", "naive"),
-        epsilon=float(raw.get("epsilon", 0.01)),
-        loss=LossKind(raw.get("loss", "cross_entropy")),
-        seed=seed,
-    )
-
-
-def _model_spec(raw: dict) -> ModelSpec:
-    m = raw.get("model", {"arch": "mlp", "hidden": 100})
-    if not isinstance(m, dict):
-        raise TypeError("model must be a JSON object")
-    hidden = m.get("hidden", 100)
-    if not _is_int(hidden):
-        raise TypeError("model.hidden must be an integer")
-    return ModelSpec(m.get("arch", "mlp"), hidden)
 
 
 def run_cell(
@@ -418,24 +382,24 @@ def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
     return summary
 
 
-def _online_cells(raw: dict):
+def _online_cells(config: ExperimentConfig):
     """(trace file, trace CSV, summary row) per strategy x budget x seed."""
-    model_spec = _model_spec(raw)
-    epochs = int(raw.get("epochs", 200))
-    for strategy in raw["strategies"]:
-        budgets = [None] if strategy == "full" else raw["budgets"]
+    for strategy in config.strategies:
+        budgets = [None] if strategy == "full" else config.budgets
         for b_idx, budget in enumerate(budgets):
-            for seed in raw["seeds"]:
-                run_seed = derive_run_seed(int(seed), strategy, b_idx)
-                train, val, test, max_norm = build_datasets(raw, int(seed))
-                cfg = glister_config(raw, run_seed, budget if budget is not None else 1.0)
-                _, _, trace = run_cell(strategy, train, val, test, model_spec, cfg, epochs)
-                tag = "full" if budget is None else f"b{int(round(budget * 100))}"
+            for seed in config.seeds:
+                run_seed = derive_run_seed(seed, strategy, b_idx)
+                train, val, test, max_norm = build_datasets(config.data, seed)
+                cfg = replace(
+                    config.selection, seed=run_seed, budget_frac=1.0 if budget is None else budget
+                )
+                _, _, trace = run_cell(strategy, train, val, test, config.model, cfg, config.epochs)
+                tag = "full" if budget is None else f"b{round(budget * 100)}"
                 last = trace.records[-1]
                 yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
                     "strategy": strategy,
                     "budget": budget,
-                    "seed": int(seed),
+                    "seed": seed,
                     "run_seed": run_seed,
                     "final_test_acc": last.test_acc,
                     "final_val_loss": last.val_loss,
@@ -446,32 +410,26 @@ def _online_cells(raw: dict):
                 }
 
 
-def _active_cells(raw: dict):
+def _active_cells(config: ExperimentConfig):
     """(trace file, round CSV, summary row) per acquisition strategy x seed."""
-    model_spec = _model_spec(raw)
-    rounds = int(raw.get("rounds", 10))
-    batch = int(raw.get("batch", 50))
-    epochs_per_round = int(raw.get("epochs_per_round", 200))
-    n_initial = int(raw.get("initial_labeled", 20))
-    for strategy in raw["strategies"]:
-        for seed in raw["seeds"]:
-            run_seed = derive_run_seed(int(seed), strategy, 0)
-            pool, val, test, _ = build_datasets(raw, int(seed))
-            cfg = replace(glister_config(raw, run_seed, None), k=batch)
+    for strategy in config.strategies:
+        for seed in config.seeds:
+            run_seed = derive_run_seed(seed, strategy, 0)
+            pool, val, test, _ = build_datasets(config.data, seed)
+            cfg = replace(config.selection, seed=run_seed, k=config.batch)
             initial = stratified_random_subset(
-                pool.labels, pool.num_classes, n_initial, SeededRng(run_seed).split(71)
+                pool.labels, pool.num_classes, config.initial_labeled, SeededRng(run_seed).split(71)
             )
             _, state, trace = run_active(
-                strategy, pool, val, test, initial, model_spec, cfg,
-                rounds, batch, epochs_per_round,
-                filter_mult=float(raw.get("filter_mult", 5.0)),
+                strategy, pool, val, test, initial, config.model, cfg,
+                config.rounds, config.batch, config.epochs_per_round, config.filter_mult,
             )
             yield f"active_{strategy}_s{seed}.csv", active_trace_to_csv(trace), {
                 "strategy": strategy,
-                "seed": int(seed),
+                "seed": seed,
                 "run_seed": run_seed,
-                "rounds": rounds,
-                "batch": batch,
+                "rounds": config.rounds,
+                "batch": config.batch,
                 "final_test_acc": trace.final_test_acc,
                 "final_val_loss": trace.final_val_loss,
                 "labeled_count": len(state.labeled),
@@ -482,27 +440,24 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """`glister run`: the cross product of strategies x budgets x seeds;
     writes one trace CSV per cell plus summary.json, and returns the
     summary rows."""
-    return _write_runs(config, _online_cells(config.raw))
+    return _write_runs(config, _online_cells(config))
 
 
 def run_active_experiment(config: ExperimentConfig) -> list[dict]:
     """`glister active`: strategies x seeds of batch active learning;
     writes one round CSV per run plus summary.json, and returns the
     summary rows."""
-    return _write_runs(config, _active_cells(config.raw))
+    return _write_runs(config, _active_cells(config))
 
 
 def make_bench_data(n: int, d: int, seed: int) -> tuple[Dataset, Dataset]:
     """Two-class d-dimensional Gaussian data for the benchmark harness."""
     rng = SeededRng(seed)
     half = n // 2
-    x0 = rng.normals(half * d).reshape(half, d)
-    x1 = rng.normals((n - half) * d).reshape(n - half, d)
-    x0[:, 0] -= 2.0
-    x1[:, 0] += 2.0
-    feats = np.vstack([x0, x1])
-    labels = np.array([0] * half + [1] * (n - half))
-    train = Dataset(feats, labels, 2)
+    feats = rng.normals(n * d).reshape(n, d)
+    feats[:half, 0] -= 2.0
+    feats[half:, 0] += 2.0
+    train = Dataset(feats, np.array([0] * half + [1] * (n - half)), 2)
     m = max(n // 10, 10)
     vx = rng.normals(m * d).reshape(m, d)
     vx[: m // 2, 0] -= 2.0
@@ -513,16 +468,20 @@ def make_bench_data(n: int, d: int, seed: int) -> tuple[Dataset, Dataset]:
 
 def run_bench(n: int, d: int, k: int, r_frac: float, seed: int = 0) -> dict:
     """Times r = k against r = ceil(r_frac * k) selection, and a full
-    against a k-sized-subset training epoch."""
+    against a k-sized-subset training epoch.  Raises ConfigError for a k
+    outside [1, n] or an r_frac outside (0, 1]."""
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must lie in [1, n={n}]")
+    try:
+        base = GlisterConfig(k=k, r_frac=r_frac, lr=0.01, batch_size=32, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     train, val = make_bench_data(n, d, seed)
-    model_spec = ModelSpec("logistic")
-    base = GlisterConfig(k=k, lr=0.01, batch_size=32, seed=seed)
-    params = init_model_params(train, model_spec, base)
+    params = init_model_params(train, ModelSpec("logistic"), base)
     timings = []
-    for r in (k, max(1, int(math.ceil(r_frac * k)))):
-        cfg = GlisterConfig(k=k, refreshes=r, lr=0.01, batch_size=32, seed=seed)
+    for r in (k, base.resolve_r(k)):
         t0 = time.perf_counter()
-        greedy_dss(train, val, params, cfg, k=k)
+        greedy_dss(train, val, params, replace(base, refreshes=r), k=k)
         timings.append({"r": r, "sel_s": time.perf_counter() - t0})
     rng = SeededRng(seed)
     t0 = time.perf_counter()

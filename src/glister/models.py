@@ -8,6 +8,7 @@ column with labels encoded internally as -1/+1 (class 1 maps to +1).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,6 +118,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ("logistic", "mlp"):
             raise ValueError("arch must be 'logistic' or 'mlp'")
+        if isinstance(self.hidden, bool) or not isinstance(self.hidden, numbers.Integral):
+            raise ValueError("hidden width must be an integer")
         if self.hidden < 1:
             raise ValueError("hidden width must be >= 1")
 

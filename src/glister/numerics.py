@@ -71,9 +71,6 @@ class SeededRng:
     def uniforms(self, n: int) -> np.ndarray:
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; two uniforms consumed per value."""
         u = self._raw(2 * n)
@@ -81,9 +78,6 @@ class SeededRng:
         u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
         u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Scaled-double construction (documented bias

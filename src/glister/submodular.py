@@ -122,7 +122,10 @@ class MatroidQuota:
 
 
 def _quota_left(f: SetFunctionOracle, k: int, quota: MatroidQuota | None) -> dict | None:
-    """The picks each class has left under `quota`, or None without one."""
+    """The picks each class has left under `quota`, or None without one;
+    raises for a budget above the ground set or a quota that cannot apply."""
+    if k > f.n:
+        raise ValueError("budget exceeds ground set")
     if quota is None:
         return None
     if quota.total != k:
@@ -136,8 +139,6 @@ def _greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None, choose) ->
     """The step loop of every non-lazy engine: k times, `choose(feasible,
     selected)` picks one of the unselected elements whose class still has
     quota.  Returns elements in selection order."""
-    if k > f.n:
-        raise ValueError("budget exceeds ground set")
     left = _quota_left(f, k, quota)
     selected: list[int] = []
     pool = np.arange(f.n)
@@ -171,8 +172,6 @@ def lazy_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None)
     """Accelerated greedy with stale upper bounds; selects identically to
     naive_greedy on submodular objectives.  The returned list carries the
     number of oracle evaluations in its `.evaluations` attribute."""
-    if k > f.n:
-        raise ValueError("budget exceeds ground set")
     left = _quota_left(f, k, quota)
     selected: list[int] = []
     evals = 0

@@ -48,7 +48,7 @@ def test_fass_filter_mult_one_is_pure_uncertainty(pool_data):
     st = PoolState(labeled=[], unlabeled=list(range(pool.n)))
     params = init_params([2, 2], "identity", SeededRng(5))
     batch = 6
-    sel = fass_acquire(pool, st, params, batch, 1.0, SeededRng(1))
+    sel = fass_acquire(pool, st, params, batch, 1.0)
     from glister.active import _predictive_entropy
 
     ent = _predictive_entropy(params, pool.features)
@@ -60,7 +60,7 @@ def test_fass_zero_logit_ties_break_by_index(pool_data):
     pool, _, _ = pool_data
     st = PoolState(labeled=[], unlabeled=list(range(pool.n)))
     params = ModelParams(((np.zeros((2, 2)), np.zeros(2)),))
-    sel = fass_acquire(pool, st, params, 4, 1.0, SeededRng(1))
+    sel = fass_acquire(pool, st, params, 4, 1.0)
     assert sel == [0, 1, 2, 3]
 
 
@@ -72,7 +72,7 @@ def test_fass_beats_random_coverage(pool_data):
     from glister.submodular import facility_location
 
     batch, mult = 8, 3.0
-    sel = fass_acquire(pool, st, params, batch, mult, SeededRng(0))
+    sel = fass_acquire(pool, st, params, batch, mult)
     from glister.active import _predictive_entropy
 
     ent = _predictive_entropy(params, pool.features)

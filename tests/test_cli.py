@@ -21,6 +21,7 @@ BAD_MODELS = [
     pytest.param({"model": {"arch": "mlp", "hidden": 0}}, id="model-hidden-0"),
     pytest.param({"model": {"arch": "mlp", "hidden": 2.5}}, id="model-hidden-2.5"),
     pytest.param({"model": {"arch": "mlp", "hidden": True}}, id="model-hidden-true"),
+    pytest.param({"model": {"arch": "mlp", "width": 5}}, id="model-unknown-key"),
 ]
 
 # selection counts and refresh settings that must fail validation instead of
@@ -32,6 +33,13 @@ BAD_SELECTION = [
     pytest.param({"refreshes": 0}, id="refreshes-0"),
     pytest.param({"r_frac": -1}, id="r_frac-neg"),
     pytest.param({"r_frac": 5.0}, id="r_frac-5.0"),
+    pytest.param({"r_frac": True}, id="r_frac-true"),
+    pytest.param({"lr": True}, id="lr-true"),
+    pytest.param({"eta": True}, id="eta-true"),
+    pytest.param({"lambda": True}, id="lambda-true"),
+    pytest.param({"lambda": "1"}, id="lambda-str"),
+    pytest.param({"lambda": float("inf")}, id="lambda-inf"),
+    pytest.param({"lambda": 10**400}, id="lambda-huge"),
 ]
 
 _DATASET = {"kind": "synthetic", "name": "separable-2", "seed": 3}
@@ -59,6 +67,8 @@ BAD_DATA = [
     pytest.param({"corruption": {"imbalance": {"seed": 1.5}}}, id="imbalance-seed-float"),
     pytest.param({"standardize": "no"}, id="standardize-str"),
     pytest.param({"standardize": 0}, id="standardize-0"),
+    pytest.param({"dataset": {"kind": "libsvm", "path": 3}}, id="libsvm-path-int"),
+    pytest.param({"dataset": {"kind": "libsvm"}}, id="libsvm-path-missing"),
 ]
 
 
@@ -202,6 +212,12 @@ def test_bad_optimizer_settings_rejected(tmp_path, bad):
 
 def test_missing_config_file(tmp_path):
     assert cmd_run(str(tmp_path / "nope.json")) == 2
+
+
+def test_output_dir_must_be_a_string(tmp_path):
+    path, _ = base_config(tmp_path, output_dir=3)
+    assert cmd_run(str(path)) == 2
+    assert not (tmp_path / "3").exists()
 
 
 def test_all_strategies_run(tmp_path):
@@ -359,6 +375,23 @@ def test_bench_json_roundtrip(tmp_path):
     out = tmp_path / "bench.json"
     assert cmd_bench(200, 4, 20, 0.1, str(out)) == 0
     assert json.loads(out.read_text())["n"] == 200
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--r-frac", "5"], ["--r-frac", "0"], ["--r-frac", "-1"], ["--k", "0"], ["--k", "201"]],
+    ids=lambda args: "".join(args),
+)
+def test_bench_bad_arguments_exit_2(tmp_path, args):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--n", "200", "--d", "3", "--k", "20", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_r_from_resolve_r():
+    # r = ceil(r_frac * k), as GlisterConfig.resolve_r; r_frac = 1 gives r = k
+    assert [t["r"] for t in run_bench(60, 3, 20, 0.03)["selection"]] == [20, 1]
+    assert [t["r"] for t in run_bench(60, 3, 20, 1.0)["selection"]] == [20, 20]
 
 
 def test_derive_run_seed_distinct():

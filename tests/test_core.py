@@ -447,6 +447,13 @@ def test_config_validation():
         {"r_frac": -1},
         {"r_frac": 5.0},
         {"select_every": None},
+        {"r_frac": True},
+        {"lr": True},
+        {"eta": True},
+        {"lam": True},
+        {"lam": "1"},
+        {"lam": float("inf")},
+        {"epsilon": "0.1"},
     ):
         with pytest.raises(ValueError):
             GlisterConfig(k=10, **bad)

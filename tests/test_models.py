@@ -335,3 +335,6 @@ def test_margin_loss_requires_two_classes():
 def test_model_spec_dims():
     assert ModelSpec("logistic").layer_dims(4, 3) == [4, 3]
     assert ModelSpec("mlp", hidden=7).layer_dims(4, 3) == [4, 7, 3]
+    for hidden in (2.5, True, "7", 0):
+        with pytest.raises(ValueError):
+            ModelSpec("mlp", hidden=hidden)

@@ -147,6 +147,13 @@ def test_exhaustive_budget_guard():
         exhaustive_max(f, 30)
 
 
+def test_exhaustive_budget_above_ground_set():
+    # as every other engine, instead of returning (None, -inf)
+    f = modular_oracle(np.ones(5))
+    with pytest.raises(ValueError, match="budget exceeds ground set"):
+        exhaustive_max(f, 6)
+
+
 def test_exhaustive_with_quota_cross_class_pair():
     f, labels = random_fl(31)
     quota = MatroidQuota({0: 1, 1: 1})

@@ -38,7 +38,6 @@ from .models import (
     last_layer_per_sample_grads,
     last_layer_rows,
     logit_grads,
-    loss_from_logits,
     loss_value,
     output_width,
     sgd_epoch,
@@ -163,11 +162,10 @@ class GainState:
     (delta) is its loss gradient w.r.t. the logits.  The (n, H*C) row table
     is never built: a score is ``-eta * (h . (V_W delta) + V_b . delta)``.
     `refresh` recomputes delta and the validation gradient exactly at the
-    current lookahead; within a refresh both are frozen, and folding elements
-    into the lookahead declares them stale again.
+    current lookahead; between refreshes both are frozen while `add` folds
+    elements into the lookahead.  The candidates are the training rows.
     """
 
-    theta_base: np.ndarray
     theta_lookahead: np.ndarray
     cand_features: np.ndarray
     cand_labels: np.ndarray
@@ -177,9 +175,7 @@ class GainState:
     hidden: np.ndarray  # (n_cand, H) penultimate activations
     logit_grads: np.ndarray | None = None  # (n_cand, C) delta at the last refresh
     val_grad_at_lookahead: np.ndarray | None = None
-    val_ll_at_lookahead: float = math.nan
     refresh_count: int = 0
-    stale: bool = True
     _val_hidden: tuple | None = None  # (val, its penultimate activations)
 
     def lookahead_params(self) -> ModelParams:
@@ -191,46 +187,36 @@ class GainState:
 
     def refresh(self, val: Dataset) -> None:
         """Exact recomputation of the candidate logit gradients and the
-        validation log-likelihood/gradient at the current lookahead."""
+        validation log-likelihood gradient at the current lookahead."""
         look = self.lookahead_params()
         self._set_logit_grads(look)
         if self._val_hidden is None or self._val_hidden[0] is not val:
             self._val_hidden = (val, last_layer_inputs(look, val.features))
         h_v = self._val_hidden[1]
         w, b = look.layers[-1]
-        z_v = h_v @ w + b
-        delta_v = logit_grads(z_v, val.labels, self.kind)
-        self.val_ll_at_lookahead = -loss_from_logits(z_v, val.labels, self.kind)
+        delta_v = logit_grads(h_v @ w + b, val.labels, self.kind)
         self.val_grad_at_lookahead = -np.concatenate(
             [(h_v.T @ delta_v).ravel(), delta_v.sum(axis=0)]
         )
         self.refresh_count += 1
-        self.stale = False
 
     def add(self, positions) -> None:
-        """Fold candidate gradients into the lookahead; scores go stale."""
-        positions = list(int(p) for p in positions)
-        if positions:
+        """Fold the gradients of the candidates at `positions` into the lookahead."""
+        if len(positions):
             rows = -last_layer_rows(self.hidden[positions], self.logit_grads[positions])
             self.theta_lookahead = self.theta_lookahead + self.eta * rows.sum(axis=0)
-            self.stale = True
 
 
-def make_gain_state(
-    params: ModelParams, train: Dataset, candidates, kind: LossKind, eta: float
-) -> GainState:
-    cand = np.asarray(candidates, dtype=np.int64)
-    theta = params.last_layer_vector()
-    cand_features = train.features[cand]
+def make_gain_state(params: ModelParams, train: Dataset, kind: LossKind, eta: float) -> GainState:
+    """Gain state over every training row, its lookahead at `params`."""
     state = GainState(
-        theta_base=theta,
-        theta_lookahead=theta.copy(),
-        cand_features=cand_features,
-        cand_labels=train.labels[cand],
+        theta_lookahead=params.last_layer_vector(),
+        cand_features=train.features,
+        cand_labels=train.labels,
         kind=kind,
         eta=eta,
         params_template=params,
-        hidden=last_layer_inputs(params, cand_features),
+        hidden=last_layer_inputs(params, train.features),
     )
     # logit grads at the base parameters so elements can be folded before the
     # first refresh; each refresh recomputes them at the current lookahead
@@ -417,19 +403,6 @@ def taylor_proxy(
 # ---------------------------------------------------------------------------
 
 
-def _regularizer_marginals(reg, lam, rem_positions, selected_positions):
-    if reg is None:
-        return 0.0
-    kind, payload = reg
-    if kind == "facility_location":
-        return lam * payload.marginals(rem_positions, selected_positions)
-    if kind == "diversity":
-        if len(selected_positions) == 0:
-            return 0.0
-        return lam * payload[np.ix_(rem_positions, selected_positions)].sum(axis=1)
-    raise AssertionError(kind)
-
-
 def greedy_dss(
     train: Dataset,
     val: Dataset,
@@ -453,22 +426,26 @@ def greedy_dss(
     rng = SeededRng(cfg.seed).split(_SELECT_STREAM) if rng is None else rng
     eta = cfg.lr if cfg.eta is None else cfg.eta
 
-    k_gain = k_total
-    k_rand = 0
-    if cfg.regularizer == "random":
-        # mixing mode: lam is the share picked by gain, rest uniform random
-        k_gain = int(round(cfg.lam * k_total))
-        k_rand = k_total - k_gain
+    # random mixing mode: lam is the share picked by gain, the rest uniform random
+    k_gain = int(round(cfg.lam * k_total)) if cfg.regularizer == "random" else k_total
+    k_rand = k_total - k_gain
 
-    reg = None
+    # lambda times the regularizer marginal of each pool element given the picks
     if cfg.regularizer == "facility_location":
         oracle = facility_location(train.features, train.labels, per_class=True)
-        reg = ("facility_location", oracle)
+
+        def regularizer(pool, picked):
+            return cfg.lam * oracle.marginals(pool, picked)
     elif cfg.regularizer == "diversity":
         dists = np.sqrt(pairwise_sq_dists(train.features))
-        reg = ("diversity", dists)
 
-    state = make_gain_state(params, train, np.arange(n_cand), cfg.loss, eta)
+        def regularizer(pool, picked):
+            return cfg.lam * dists[np.ix_(pool, picked)].sum(axis=1) if picked else 0.0
+    else:
+        def regularizer(pool, picked):
+            return 0.0
+
+    state = make_gain_state(params, train, cfg.loss, eta)
     order: list[int] = []
     remaining = np.arange(n_cand)
 
@@ -484,9 +461,7 @@ def greedy_dss(
                 per_step = int(math.ceil((n_cand / k_total) * math.log(1.0 / cfg.epsilon)))
                 s = min(len(remaining), max(count * per_step, count))
                 pool = remaining[np.sort(rng.choice_no_replace(len(remaining), s))]
-            scores = _taylor_gains(state, pool) + _regularizer_marginals(
-                reg, cfg.lam, pool, order
-            )
+            scores = _taylor_gains(state, pool) + regularizer(pool, order)
             if cfg.greedy == "randomized":
                 # each pick is uniform over the top k_total still unpicked;
                 # removing one entry leaves the rest of the ranking in order

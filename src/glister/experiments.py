@@ -163,13 +163,23 @@ def _read(table: dict, name: str, default, rule: str):
     return table[key]
 
 
+def _no_repeats(name: str, values: list) -> None:
+    """Cells name their trace files by these values, so none may repeat."""
+    repeated = sorted({v for i, v in enumerate(values) if v in values[:i]})
+    if repeated:
+        raise ConfigError(f"{name} repeat: {repeated}")
+
+
+def _budget_tag(budget: float) -> str:
+    return f"b{round(budget * 100)}"
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Where a run's rows come from, how they split and what corrupts the
     train part.  A seed of None means the run seed."""
 
-    source: str  # a synthetic kind, or the path of a LIBSVM file
-    libsvm: bool
+    source: str | Dataset  # a synthetic kind, or the rows of a LIBSVM file
     n_per_class: int
     seed: int | None
     split: SplitSpec
@@ -236,9 +246,12 @@ def glister_config(raw: dict) -> GlisterConfig:
 
 def _data_spec(raw: dict) -> DataSpec:
     ds = _read(raw, "dataset", _REQUIRED, "a JSON object")
-    libsvm = _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm"
-    if libsvm:
-        source = _read(ds, "dataset.path", _REQUIRED, "a string")
+    if _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm":
+        path = _read(ds, "dataset.path", _REQUIRED, "a string")
+        try:
+            source = parse_libsvm(Path(path).read_bytes())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load dataset.path {path!r}: {exc}") from None
     else:
         source = _read(ds, "dataset.name", _REQUIRED, "a known synthetic kind")
     spec = _read(raw, "split", {"train": 0.8, "val": 0.1, "test": 0.1}, "a JSON object")
@@ -262,7 +275,7 @@ def _data_spec(raw: dict) -> DataSpec:
             _read(imb, "corruption.imbalance.seed", None, "an integer"),
         )
     return DataSpec(
-        source, libsvm, _read(ds, "dataset.n_per_class", 250, "an integer >= 2"),
+        source, _read(ds, "dataset.n_per_class", 250, "an integer >= 2"),
         _read(ds, "dataset.seed", None, "an integer"), split_spec, noise, imbalance,
         _read(raw, "standardize", True, "true or false"),
     )
@@ -282,11 +295,14 @@ def _parse(raw, active: bool) -> ExperimentConfig:
     bad = [s for s in strategies if s not in (ACQUIRE_STRATEGIES if active else STRATEGIES)]
     if bad:
         raise ConfigError(f"unknown strategies: {bad}")
+    _no_repeats("strategies", strategies)
     loop = {key: _read(raw, key, None, rule) for key, rule in _LOOP_RULES.items() if key in raw}
     if not active and not loop.get("budgets") and any(s != "full" for s in strategies):
         raise ConfigError("non-full strategies need budgets")
+    _no_repeats("budget trace tags", [_budget_tag(b) for b in loop.get("budgets", ())])
     output_dir = Path(_read(raw, "output_dir", _REQUIRED, "a string"))
     seeds = _read(raw, "seeds", _REQUIRED, "a non-empty list of integers")
+    _no_repeats("seeds", seeds)
     data = _data_spec(raw)
     model_keys = _read(raw, "model", {}, "a JSON object")
     try:
@@ -310,10 +326,10 @@ def load_active_config(path) -> ExperimentConfig:
 
 def build_datasets(data: DataSpec, seed: int):
     """Materialize (train, val, test) plus the achieved feature-norm bound
-    for one run: generate or load, split, corrupt the train part, and
-    standardize unless disabled."""
-    if data.libsvm:
-        train, val, test = split(parse_libsvm(Path(data.source).read_bytes()), data.split)
+    for one run: generate or take the parsed rows, split, corrupt the train
+    part, and standardize unless disabled."""
+    if isinstance(data.source, Dataset):
+        train, val, test = split(data.source, data.split)
     else:
         gen_seed = seed if data.seed is None else data.seed
         out = gen_synthetic(data.source, data.n_per_class, gen_seed)
@@ -394,7 +410,7 @@ def _online_cells(config: ExperimentConfig):
                     config.selection, seed=run_seed, budget_frac=1.0 if budget is None else budget
                 )
                 _, _, trace = run_cell(strategy, train, val, test, config.model, cfg, config.epochs)
-                tag = "full" if budget is None else f"b{round(budget * 100)}"
+                tag = "full" if budget is None else _budget_tag(budget)
                 last = trace.records[-1]
                 yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
                     "strategy": strategy,

@@ -61,6 +61,8 @@ __all__ = [
     "noise_summary",
     "noise_checks",
     "imbalance_experiment",
+    "imbalance_checks",
+    "strip_timing",
     "active_experiment",
     "compose_four_class",
 ]
@@ -85,7 +87,7 @@ NOISE_SETUP = dict(
 IMBALANCE_SETUP = dict(
     n_per_class=250, affected_frac=0.3, keep_frac=0.1, budget=0.2, hidden=100,
     epochs=200, select_every=20, r_frac=0.03, lr=0.002, batch_size=10,
-    seeds=(1, 2, 3, 4, 5),
+    seeds=(1, 2, 3, 4, 5), margin=0.03, rare_ratio=2.0,
 )
 ACTIVE_SETUP = dict(
     n_majority=500, n_rare=7, rare_offset=(0.0, 6.0), rounds=10, batch=50,
@@ -309,7 +311,7 @@ def suite_taylor_fidelity(seed: int = 0) -> list[Check]:
         s_size = rng.randint(6)
         subset = [int(v) for v in rng.choice_no_replace(train.n, s_size)]
         cand = [int(v) for v in rng.split(1).choice_no_replace(train.n, 25) if int(v) not in subset]
-        state = make_gain_state(params, train, np.arange(train.n), kind, 0.01)
+        state = make_gain_state(params, train, kind, 0.01)
         state.add(subset)
         state.refresh(val)
         tg = [taylor_gain(state, e) for e in cand]
@@ -332,7 +334,7 @@ def suite_taylor_fidelity(seed: int = 0) -> list[Check]:
             e = int(rng.split(1).randint(train.n))
             while e in subset:
                 e = (e + 1) % train.n
-            state = make_gain_state(params, train, np.arange(train.n), kind, eta)
+            state = make_gain_state(params, train, kind, eta)
             state.add(subset)
             state.refresh(val)
             trial_errs.append(
@@ -440,21 +442,23 @@ def imbalance_experiment(seed: int):
     )
 
 
+def imbalance_checks() -> list[Check]:
+    """Criterion 6 on the seed means of `imbalance_experiment`: selection
+    must over-sample the rare classes and beat proportional random."""
+    cfgd = IMBALANCE_SETUP
+    res = [imbalance_experiment(s) for s in cfgd["seeds"]]
+    g, rn, rare_sel, rare_pool = (float(np.mean([r[i] for r in res])) for i in range(4))
+    return [
+        Check(f"imbalance: rare-class fraction >= {cfgd['rare_ratio']:g} x pool fraction",
+              rare_sel >= cfgd["rare_ratio"] * rare_pool, f"subset {rare_sel:.3f} vs pool {rare_pool:.3f}"),
+        Check(f"imbalance: glister accuracy >= proportional random + {100 * cfgd['margin']:.0f} points",
+              g >= rn + cfgd["margin"], f"glister {g:.3f} vs random {rn:.3f}"),
+    ]
+
+
 def suite_robustness(seed: int = 0) -> list[Check]:
     """Criteria: label-noise and class-imbalance desk experiments (5 seeds)."""
-    checks = noise_checks(noise_summary())
-    res = [imbalance_experiment(s) for s in IMBALANCE_SETUP["seeds"]]
-    g = float(np.mean([r[0] for r in res]))
-    rn = float(np.mean([r[1] for r in res]))
-    rare_sel = float(np.mean([r[2] for r in res]))
-    rare_pool = float(np.mean([r[3] for r in res]))
-    checks.append(Check(
-        "imbalance: rare-class fraction >= 2 x pool fraction",
-        rare_sel >= 2.0 * rare_pool, f"subset {rare_sel:.3f} vs pool {rare_pool:.3f}"))
-    checks.append(Check(
-        "imbalance: glister accuracy >= proportional random + 3 points",
-        g >= rn + 0.03, f"glister {g:.3f} vs random {rn:.3f}"))
-    return checks
+    return noise_checks(noise_summary()) + imbalance_checks()
 
 
 def compose_four_class(n_majority: int, n_rare_gen: int, seed: int) -> Dataset:
@@ -522,6 +526,17 @@ def active_experiment(seed: int):
     return accs["glister"], accs["random"]
 
 
+def strip_timing(csv_text: str) -> str:
+    """A trace CSV with the wall-clock cells (wall_s, sel_s) of every row
+    below the header replaced by "-", for comparing runs."""
+    lines = csv_text.splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[1] = cells[2] = "-"
+        lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
 def suite_determinism(seed: int = 0) -> list[Check]:
     """Criterion: identical config and seed give bit-identical subset digests
     and traces (timing columns excluded, as wall-clock is physical), for
@@ -539,19 +554,11 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     digests = [subset_digest(r[1]) for r in runs]
     checks.append(Check("subset digests bit-identical", digests[0] == digests[1], digests[0][:12]))
 
-    def strip_timing(trace) -> str:
-        rows = trace_to_csv(trace).splitlines()
-        out = []
-        for i, row in enumerate(rows):
-            cells = row.split(",")
-            cells[1] = cells[2] = "-" if i else cells[1]
-            out.append(",".join(cells))
-        return "\n".join(out)
-
-    t0, t1 = strip_timing(runs[0][2]), strip_timing(runs[1][2])
+    t0, t1 = (strip_timing(trace_to_csv(r[2])) for r in runs)
     checks.append(Check("traces bit-identical outside timing columns", t0 == t1))
-    craig = [strip_timing(run_cell("craig", train, val, test, spec, cfg, 12)[2]) for _ in range(2)]
-    checks.append(Check("craig traces bit-identical outside timing columns", craig[0] == craig[1]))
+    c0, c1 = (strip_timing(trace_to_csv(run_cell("craig", train, val, test, spec, cfg, 12)[2]))
+              for _ in range(2))
+    checks.append(Check("craig traces bit-identical outside timing columns", c0 == c1))
     params = init_model_params(train, spec, cfg)
     sels = [greedy_dss(train, val, params, cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))

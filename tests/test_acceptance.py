@@ -3,8 +3,8 @@ line with the measured quantities.  Expected values come from independent
 oracles: central finite differences, exhaustive enumeration, paired baseline
 runs, and wall-clock measurement.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or `glister verify --suite all`
-for the CLI view of the same suites).
+Run with `pytest tests/test_acceptance.py -v -s`.  `glister verify --suite all`
+runs the checks of criteria 1-6 and 10 from the CLI; criteria 7-9 run only here.
 """
 
 import time
@@ -18,9 +18,10 @@ from glister.models import LossKind, ModelSpec
 from glister.verify import (
     ACTIVE_SETUP,
     Check,
-    imbalance_experiment,
+    imbalance_checks,
     noise_checks,
     noise_summary,
+    strip_timing,
     suite_determinism,
     suite_gradients,
     suite_greedy_ratio,
@@ -70,20 +71,11 @@ def test_criterion_5_noise_robustness():
 
 def test_criterion_6_class_imbalance():
     start = time.perf_counter()
-    res = [imbalance_experiment(s) for s in (1, 2, 3, 4, 5)]
+    checks = imbalance_checks()
     elapsed = time.perf_counter() - start
-    g = float(np.mean([r[0] for r in res]))
-    rn = float(np.mean([r[1] for r in res]))
-    rare_sel = float(np.mean([r[2] for r in res]))
-    rare_pool = float(np.mean([r[3] for r in res]))
-    acc_ok = g >= rn + 0.03
-    ratio_ok = rare_sel >= 2.0 * rare_pool
     time_ok = elapsed < 300.0
-    print(f"\n[{'PASS' if acc_ok and ratio_ok and time_ok else 'FAIL'}] criterion 6: class imbalance")
-    print(f"    [{'PASS' if acc_ok else 'FAIL'}] accuracy: glister {g:.3f} vs proportional random {rn:.3f} (need +3 points)")
-    print(f"    [{'PASS' if ratio_ok else 'FAIL'}] rare fraction: subset {rare_sel:.3f} vs pool {rare_pool:.3f} (need 2x)")
-    print(f"    [{'PASS' if time_ok else 'FAIL'}] runtime {elapsed:.0f}s < 300s")
-    assert acc_ok and ratio_ok and time_ok
+    assert report("criterion 6: class imbalance",
+                  [*checks, Check("runtime < 300 s", time_ok, f"{elapsed:.0f} s")])
 
 
 def test_criterion_7_active_learning():
@@ -160,13 +152,7 @@ def test_criterion_10_determinism(tmp_path):
         trace = (tmp_path / "out" / "trace_glister_b30_s7.csv").read_text()
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         digests.append(summary[0]["subset_digest"])
-        rows = []
-        for i, line in enumerate(trace.splitlines()):
-            cells = line.split(",")
-            if i > 0:
-                cells[1] = cells[2] = "-"  # wall-clock columns are physical
-            rows.append(",".join(cells))
-        texts.append("\n".join(rows))
+        texts.append(strip_timing(trace))  # wall-clock columns are physical
     ok_cli = texts[0] == texts[1] and digests[0] == digests[1]
     print(f"\n[{'PASS' if ok_suite and ok_cli else 'FAIL'}] criterion 10: determinism "
           f"(digest {digests[0][:12]}..., traces identical outside timing columns)")

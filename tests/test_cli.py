@@ -11,6 +11,7 @@ from glister.experiments import (
     trace_from_csv,
     trace_to_csv,
 )
+from glister.verify import strip_timing
 
 
 # model settings that must fail validation, before any output exists
@@ -69,6 +70,17 @@ BAD_DATA = [
     pytest.param({"standardize": 0}, id="standardize-0"),
     pytest.param({"dataset": {"kind": "libsvm", "path": 3}}, id="libsvm-path-int"),
     pytest.param({"dataset": {"kind": "libsvm"}}, id="libsvm-path-missing"),
+    pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__).with_name("missing.libsvm"))}},
+                 id="libsvm-file-missing"),
+    pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__).parent)}}, id="libsvm-file-dir"),
+    # this test module is not LIBSVM text
+    pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__))}}, id="libsvm-file-malformed"),
+]
+
+# repeated values that would give two cells one trace file
+BAD_REPEATS = [
+    pytest.param({"strategies": ["random", "random"]}, id="strategies-repeated"),
+    pytest.param({"seeds": [1, 1]}, id="seeds-repeated"),
 ]
 
 
@@ -198,9 +210,11 @@ def test_bad_budget_rejected(tmp_path):
         {"budgets": [None]},
         {"budgets": 0.3},
         {"strategies": {"glister": 1}},
+        pytest.param({"budgets": [0.3, 0.301]}, id="budgets-same-tag"),
         *BAD_MODELS,
         *BAD_DATA,
         *BAD_SELECTION,
+        *BAD_REPEATS,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -316,6 +330,7 @@ def test_active_cli(tmp_path):
         *BAD_MODELS,
         *BAD_DATA,
         *BAD_SELECTION,
+        *BAD_REPEATS,
     ],
     ids=lambda bad: "-".join(f"{k}={v!r:.8}" for k, v in bad.items()),
 )
@@ -417,15 +432,5 @@ def test_rerun_overwrites_deterministically(tmp_path):
     cmd_run(str(path))
     second = {p.name: p.read_text() for p in out.glob("trace_*.csv")}
     assert first.keys() == second.keys()
-
-    def strip(text):
-        rows = []
-        for i, line in enumerate(text.splitlines()):
-            cells = line.split(",")
-            if i > 0:
-                cells[1] = cells[2] = "-"
-            rows.append(",".join(cells))
-        return "\n".join(rows)
-
     for name in first:
-        assert strip(first[name]) == strip(second[name])
+        assert strip_timing(first[name]) == strip_timing(second[name])

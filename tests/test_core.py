@@ -51,7 +51,7 @@ def linear_params(train, kind=LossKind.CROSS_ENTROPY, seed=8):
 
 
 def fresh_state(train, val, params, eta=0.01, kind=LossKind.CROSS_ENTROPY, subset=()):
-    state = make_gain_state(params, train, np.arange(train.n), kind, eta)
+    state = make_gain_state(params, train, kind, eta)
     state.add(list(subset))
     state.refresh(val)
     return state
@@ -80,15 +80,14 @@ def test_gain_state_lookahead_invariant(blob_data):
     train, val, _ = blob_data
     params = linear_params(train)
     kind = LossKind.CROSS_ENTROPY
-    state = make_gain_state(params, train, np.arange(train.n), kind, 0.05)
+    state = make_gain_state(params, train, kind, 0.05)
+    assert state.cand_features is train.features and state.cand_labels is train.labels
     state.refresh(val)
-    state.add([1, 4, 9])
+    state.add(np.array([1, 4, 9]))
     rows = -last_layer_per_sample_grads(params, train.features, train.labels, kind)
-    expect = state.theta_base + 0.05 * rows[[1, 4, 9]].sum(axis=0)
+    expect = params.last_layer_vector() + 0.05 * rows[[1, 4, 9]].sum(axis=0)
     assert np.allclose(state.theta_lookahead, expect, atol=1e-10)
-    assert state.stale
     state.refresh(val)
-    assert not state.stale
     assert state.refresh_count == 2
 
 
@@ -139,7 +138,7 @@ def test_factored_state_matches_gradient_table(blob_data, kind, arch):
     dims = spec.layer_dims(train.d, output_width(kind, train.num_classes))
     params = init_params(dims, "relu", SeededRng(11))
     eta = 0.05
-    state = make_gain_state(params, train, np.arange(train.n), kind, eta)
+    state = make_gain_state(params, train, kind, eta)
     state.add([0, 7])
     state.refresh(val)
     look = state.lookahead_params()
@@ -296,6 +295,33 @@ def test_greedy_dss_fl_regularizer_changes_selection(blob_data):
         GlisterConfig(k=10, refreshes=2, lr=0.01, regularizer="facility_location", lam=1.0, seed=0),
     )
     assert plain != reg  # the additive marginal must be able to flip picks
+
+
+# greedy_dss picks on blob_data (k=16, r=4, epsilon=0.5, so the stochastic
+# pool is a sample), pinned so that a rewrite of the scoring keeps them
+PINNED_PICKS = {
+    ("none", "naive"): [38, 10, 13, 66, 72, 68, 75, 25, 37, 64, 4, 31, 125, 141, 146, 148],
+    ("none", "stochastic"): [66, 77, 72, 57, 75, 42, 38, 23, 64, 67, 50, 24, 133, 31, 52, 26],
+    ("none", "randomized"): [54, 38, 3, 77, 40, 26, 25, 33, 75, 60, 14, 95, 110, 146, 67, 141],
+    ("facility_location", "naive"): [51, 69, 73, 18, 89, 94, 118, 159, 102, 99, 114, 152, 105, 123, 129, 117],
+    ("facility_location", "stochastic"): [76, 12, 39, 58, 118, 151, 90, 111, 106, 148, 99, 125, 129, 128, 54, 15],
+    ("facility_location", "randomized"): [7, 51, 39, 59, 93, 142, 159, 134, 152, 153, 122, 99, 85, 13, 26, 4],
+    ("diversity", "naive"): [38, 10, 13, 66, 156, 129, 104, 117, 20, 22, 75, 4, 101, 143, 157, 100],
+    ("diversity", "stochastic"): [66, 77, 72, 57, 75, 105, 150, 42, 137, 131, 91, 100, 6, 79, 60, 31],
+    ("diversity", "randomized"): [54, 38, 3, 77, 25, 105, 129, 84, 75, 37, 50, 104, 122, 81, 156, 111],
+    ("random", "naive"): [38, 10, 72, 13, 66, 68, 75, 25, 1, 2, 42, 44, 82, 83, 116, 144],
+    ("random", "stochastic"): [66, 77, 68, 1, 13, 51, 46, 27, 37, 54, 65, 112, 115, 127, 134, 151],
+    ("random", "randomized"): [54, 38, 3, 10, 76, 25, 26, 66, 5, 55, 56, 64, 116, 122, 133, 158],
+}
+PINNED_LAMBDA = {"none": 0.0, "facility_location": 1.0, "diversity": 0.01, "random": 0.5}
+
+
+@pytest.mark.parametrize("regularizer, greedy", list(PINNED_PICKS))
+def test_greedy_dss_pinned_picks(blob_data, regularizer, greedy):
+    train, val, _ = blob_data
+    cfg = GlisterConfig(k=16, refreshes=4, lr=0.05, epsilon=0.5, regularizer=regularizer,
+                        lam=PINNED_LAMBDA[regularizer], greedy=greedy, seed=5)
+    assert greedy_dss(train, val, linear_params(train), cfg) == PINNED_PICKS[regularizer, greedy]
 
 
 def test_greedy_dss_r_equals_k_beats_ratio(blob_data):

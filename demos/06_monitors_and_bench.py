@@ -8,8 +8,8 @@ selection with per-pick refreshes against r = 0.03k refreshes.
 
 from glister.core import GlisterConfig, glister_online_train, monitor_theorem2, monitor_theorem3
 from glister.data import SplitSpec, gen_synthetic, split
-from glister.experiments import run_bench
 from glister.models import LossKind, ModelSpec
+from glister.verify import suite_efficiency
 
 full = gen_synthetic("separable-2", 125, seed=9)
 train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
@@ -31,11 +31,5 @@ print(f"\nconvergence diagnostic: observed gap {diag['gap']:.4f} "
       f"(sigma_T {diag['sigma_t']:.2f}, delta_min {diag['delta_min']:.3f})")
 
 print("\ntiming r = k against r = 0.03k at n=5000, d=20, k=500 ...")
-bench = run_bench(5000, 20, 500, 0.03)
-sel = bench["selection"]
-print(f"  selection: r={sel[0]['r']} took {sel[0]['sel_s']:.2f}s, "
-      f"r={sel[1]['r']} took {sel[1]['sel_s']:.2f}s "
-      f"({bench['selection_speedup']:.1f}x)")
-print(f"  training:  full epoch {bench['train_full_epoch_s']*1e3:.1f}ms, "
-      f"subset epoch {bench['train_subset_epoch_s']*1e3:.1f}ms "
-      f"({bench['training_speedup']:.1f}x)")
+for check in suite_efficiency():
+    print(f"  {check.name}: {check.detail}")

@@ -1,4 +1,4 @@
-"""Experiment runner CLI: run / active / verify / bench subcommands.
+"""Experiment runner CLI: run / active / verify subcommands.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 arguments.
@@ -9,19 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .experiments import (
     ConfigError,
     load_active_config,
     load_experiment_config,
     run_active_experiment,
-    run_bench,
     run_experiment,
 )
 from .verify import SUITES, run_suite
 
-__all__ = ["main", "cmd_run", "cmd_active", "cmd_verify", "cmd_bench"]
+__all__ = ["main", "cmd_run", "cmd_active", "cmd_verify"]
 
 
 def _run_config(config_path: str, load, run, noun: str) -> int:
@@ -50,31 +48,19 @@ def cmd_active(config_path: str) -> int:
 
 
 def cmd_verify(suite: str, seed: int = 0) -> int:
-    if suite != "all" and suite not in SUITES:
+    try:
+        checks, ok = run_suite(suite, seed)
+    except KeyError as exc:
+        if exc.args != (suite,):  # a fault inside a suite, not its name
+            raise
         print(f"unknown suite {suite!r}; choose from {['all', *SUITES]}", file=sys.stderr)
         return 2
-    checks, ok = run_suite(suite, seed)
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name:<{width}}  {c.detail}")
     print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return 0 if ok else 1
-
-
-def cmd_bench(n: int, d: int, k: int, r_frac: float, out: str | None = None) -> int:
-    """Time selection and training; exit 2 for a k outside [1, n] or an
-    r_frac outside (0, 1], before anything runs."""
-    try:
-        result = run_bench(n, d, k, r_frac)
-    except ConfigError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(result, indent=2)
-    if out:
-        Path(out).write_text(text)
-    print(text)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -91,13 +77,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
 
-    p_bench = sub.add_parser("bench", help="time selection and training")
-    p_bench.add_argument("--n", type=int, default=5000)
-    p_bench.add_argument("--d", type=int, default=20)
-    p_bench.add_argument("--k", type=int, default=500)
-    p_bench.add_argument("--r-frac", type=float, default=0.03)
-    p_bench.add_argument("--out", default=None)
-
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config)
@@ -105,8 +84,6 @@ def main(argv=None) -> int:
         return cmd_active(args.config)
     if args.command == "verify":
         return cmd_verify(args.suite, args.seed)
-    if args.command == "bench":
-        return cmd_bench(args.n, args.d, args.k, args.r_frac, args.out)
     parser.error(f"unknown command {args.command}")
     return 2
 

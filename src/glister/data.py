@@ -274,6 +274,11 @@ _SHIFTED = {
 SYNTHETIC_KINDS = tuple(_CENTERS) + tuple(_SHIFTED)
 
 
+def synthetic_classes(kind: str) -> int:
+    """The number of classes that `gen_synthetic(kind, ...)` draws."""
+    return len(_CENTERS[_SHIFTED.get(kind, kind)][0])
+
+
 def _blobs(centers, sigma: float, n_per_class: int, rng: SeededRng) -> Dataset:
     feats = []
     labels = []

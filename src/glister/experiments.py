@@ -1,5 +1,5 @@
-"""Experiment orchestration: strategy x budget x seed cells, trace CSV and
-summary JSON emission, and the benchmark harness.
+"""Experiment orchestration: config parsing, strategy x budget x seed cells,
+and trace CSV and summary JSON emission.
 
 All randomness flows from the per-run seed, derived as
 ``mix64(config_seed XOR strategy_hash XOR budget_index)`` so cells are
@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +26,6 @@ from .core import (
     RunTrace,
     _selection_loop,
     glister_online_train,
-    greedy_dss,
     init_model_params,
     stratified_random_subset,
 )
@@ -41,8 +39,9 @@ from .data import (
     parse_libsvm,
     split,
     standardize,
+    synthetic_classes,
 )
-from .models import LossKind, ModelSpec, sgd_epoch
+from .models import LossKind, ModelSpec, output_width
 from .numerics import SeededRng
 from .numerics import _mix64 as _mix
 
@@ -53,7 +52,6 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "run_active_experiment",
-    "run_bench",
     "trace_to_csv",
     "trace_from_csv",
     "active_trace_to_csv",
@@ -179,7 +177,7 @@ class DataSpec:
     """Where a run's rows come from, how they split and what corrupts the
     train part.  A seed of None means the run seed."""
 
-    source: str | Dataset  # a synthetic kind, or the rows of a LIBSVM file
+    source: str | tuple  # a synthetic kind, or the (train, val, test) rows of a LIBSVM file
     n_per_class: int
     seed: int | None
     split: SplitSpec
@@ -245,21 +243,22 @@ def glister_config(raw: dict) -> GlisterConfig:
 
 
 def _data_spec(raw: dict) -> DataSpec:
-    ds = _read(raw, "dataset", _REQUIRED, "a JSON object")
-    if _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm":
-        path = _read(ds, "dataset.path", _REQUIRED, "a string")
-        try:
-            source = parse_libsvm(Path(path).read_bytes())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load dataset.path {path!r}: {exc}") from None
-    else:
-        source = _read(ds, "dataset.name", _REQUIRED, "a known synthetic kind")
     spec = _read(raw, "split", {"train": 0.8, "val": 0.1, "test": 0.1}, "a JSON object")
     fracs = [_read(spec, f"split.{key}", _REQUIRED, "a number") for key in ("train", "val", "test")]
     try:
         split_spec = SplitSpec(*fracs, _read(spec, "split.seed", 1, "an integer"))
     except ValueError as exc:
         raise ConfigError(f"invalid split: {exc}") from None
+    ds = _read(raw, "dataset", _REQUIRED, "a JSON object")
+    if _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm":
+        # the split depends only on its seed, so every cell shares this one
+        path = _read(ds, "dataset.path", _REQUIRED, "a string")
+        try:
+            source = split(parse_libsvm(Path(path).read_bytes()), split_spec)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load dataset.path {path!r}: {exc}") from None
+    else:
+        source = _read(ds, "dataset.name", _REQUIRED, "a known synthetic kind")
     corruption = _read(raw, "corruption", {}, "a JSON object")
     noise = imbalance = None
     if "noise_rate" in corruption:
@@ -309,8 +308,11 @@ def _parse(raw, active: bool) -> ExperimentConfig:
         model = ModelSpec(**{"arch": "mlp", **model_keys})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
+    source = data.source
+    classes = source[0].num_classes if isinstance(source, tuple) else synthetic_classes(source)
     try:
         selection = glister_config(raw)
+        output_width(selection.loss, classes)  # a margin loss needs two classes
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid selection settings: {exc}") from None
     return ExperimentConfig(output_dir, strategies, seeds, data, model, selection, **loop)
@@ -326,10 +328,10 @@ def load_active_config(path) -> ExperimentConfig:
 
 def build_datasets(data: DataSpec, seed: int):
     """Materialize (train, val, test) plus the achieved feature-norm bound
-    for one run: generate or take the parsed rows, split, corrupt the train
-    part, and standardize unless disabled."""
-    if isinstance(data.source, Dataset):
-        train, val, test = split(data.source, data.split)
+    for one run: generate and split synthetic rows or take the split LIBSVM
+    rows, corrupt the train part, and standardize unless disabled."""
+    if isinstance(data.source, tuple):
+        train, val, test = data.source
     else:
         gen_seed = seed if data.seed is None else data.seed
         out = gen_synthetic(data.source, data.n_per_class, gen_seed)
@@ -464,55 +466,3 @@ def run_active_experiment(config: ExperimentConfig) -> list[dict]:
     writes one round CSV per run plus summary.json, and returns the
     summary rows."""
     return _write_runs(config, _active_cells(config))
-
-
-def make_bench_data(n: int, d: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Two-class d-dimensional Gaussian data for the benchmark harness."""
-    rng = SeededRng(seed)
-    half = n // 2
-    feats = rng.normals(n * d).reshape(n, d)
-    feats[:half, 0] -= 2.0
-    feats[half:, 0] += 2.0
-    train = Dataset(feats, np.array([0] * half + [1] * (n - half)), 2)
-    m = max(n // 10, 10)
-    vx = rng.normals(m * d).reshape(m, d)
-    vx[: m // 2, 0] -= 2.0
-    vx[m // 2:, 0] += 2.0
-    vy = np.array([0] * (m // 2) + [1] * (m - m // 2))
-    return train, Dataset(vx, vy, 2)
-
-
-def run_bench(n: int, d: int, k: int, r_frac: float, seed: int = 0) -> dict:
-    """Times r = k against r = ceil(r_frac * k) selection, and a full
-    against a k-sized-subset training epoch.  Raises ConfigError for a k
-    outside [1, n] or an r_frac outside (0, 1]."""
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must lie in [1, n={n}]")
-    try:
-        base = GlisterConfig(k=k, r_frac=r_frac, lr=0.01, batch_size=32, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    train, val = make_bench_data(n, d, seed)
-    params = init_model_params(train, ModelSpec("logistic"), base)
-    timings = []
-    for r in (k, base.resolve_r(k)):
-        t0 = time.perf_counter()
-        greedy_dss(train, val, params, replace(base, refreshes=r), k=k)
-        timings.append({"r": r, "sel_s": time.perf_counter() - t0})
-    rng = SeededRng(seed)
-    t0 = time.perf_counter()
-    sgd_epoch(params, train, list(range(train.n)), 0.01, 32, rng.split(0))
-    full_epoch = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sgd_epoch(params, train, list(range(k)), 0.01, 32, rng.split(1))
-    subset_epoch = time.perf_counter() - t0
-    return {
-        "n": n,
-        "d": d,
-        "k": k,
-        "selection": timings,
-        "train_full_epoch_s": full_epoch,
-        "train_subset_epoch_s": subset_epoch,
-        "selection_speedup": timings[0]["sel_s"] / max(timings[1]["sel_s"], 1e-12),
-        "training_speedup": full_epoch / max(subset_epoch, 1e-12),
-    }

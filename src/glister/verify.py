@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     greedy_dss,
     init_model_params,
     make_gain_state,
+    monitor_theorem2,
     subset_digest,
     taylor_gain,
     taylor_proxy,
@@ -57,13 +58,17 @@ __all__ = [
     "NOISE_SETUP",
     "IMBALANCE_SETUP",
     "ACTIVE_SETUP",
+    "MONITOR_SETUP",
+    "EFFICIENCY_SETUP",
     "noise_experiment",
-    "noise_summary",
     "noise_checks",
     "imbalance_experiment",
     "imbalance_checks",
-    "strip_timing",
     "active_experiment",
+    "suite_active",
+    "suite_monitor",
+    "suite_efficiency",
+    "strip_timing",
     "compose_four_class",
 ]
 
@@ -75,25 +80,53 @@ class Check:
     detail: str = ""
 
 
-# Tuned desk-scale experiment setups shared with the acceptance tests.
+# The instances, seeds and thresholds of criteria 5-9.
 # The noise rate is the smallest of 0.30/0.35/0.40/0.45 at which the clean
 # ceiling leaves the noisy random baseline at least `min_headroom` (see the
 # README's noise-robustness note); it is read off the baseline alone.
 NOISE_SETUP = dict(
     n_per_class=625, noise_rate=0.4, budget=0.3, hidden=100,
     epochs=200, select_every=20, r_frac=0.03, lr=0.001, batch_size=20,
-    seeds=(1, 2, 3, 4, 5), margin=0.05, min_headroom=0.05, flipped_cap=0.15,
+    seeds=(1, 2, 3, 4, 5), margin=0.05, min_headroom=0.05, flipped_cap=0.15, max_s=300.0,
 )
 IMBALANCE_SETUP = dict(
     n_per_class=250, affected_frac=0.3, keep_frac=0.1, budget=0.2, hidden=100,
     epochs=200, select_every=20, r_frac=0.03, lr=0.002, batch_size=10,
-    seeds=(1, 2, 3, 4, 5), margin=0.03, rare_ratio=2.0,
+    seeds=(1, 2, 3, 4, 5), margin=0.03, rare_ratio=2.0, max_s=300.0,
 )
 ACTIVE_SETUP = dict(
     n_majority=500, n_rare=7, rare_offset=(0.0, 6.0), rounds=10, batch=50,
     epochs_per_round=200, initial=20, hidden=100, lr=0.002, batch_size=10,
-    seeds=(1, 2, 3, 4, 5),
+    seeds=(1, 2, 3, 4, 5), margin=0.02, max_s=600.0,
 )
+MONITOR_SETUP = dict(
+    n_per_class=125, budget=0.3, hidden=100, epochs=100, select_every=20, r_frac=0.03,
+    lr=0.005, batch_size=10, seeds=(1, 2, 3, 4, 5), tol=1e-7, max_violations=0,
+)
+EFFICIENCY_SETUP = dict(
+    n=5000, d=20, k=500, r_frac=0.03, lr=0.01, batch_size=32, seed=0, speedup=5.0,
+)
+
+
+def _runtime(start: float, limit: float) -> Check:
+    """The wall-clock bound of a suite that began at `start`."""
+    elapsed = time.perf_counter() - start
+    return Check(f"runtime < {limit:g} s", elapsed < limit, f"{elapsed:.1f} s")
+
+
+def _seed_means(experiment, seeds) -> list[float]:
+    """The mean over `seeds` of each value that `experiment(seed)` returns."""
+    res = [experiment(seed) for seed in seeds]
+    return [float(np.mean([r[i] for r in res])) for i in range(len(res[0]))]
+
+
+def _online_config(setup: dict, seed: int) -> GlisterConfig:
+    """The online-selection settings of a *_SETUP table for one seed."""
+    return GlisterConfig(
+        budget_frac=setup["budget"], select_every=setup["select_every"],
+        r_frac=setup["r_frac"], lr=setup["lr"], batch_size=setup["batch_size"],
+        loss=LossKind.CROSS_ENTROPY, seed=seed,
+    )
 
 
 def _flat_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
@@ -166,10 +199,9 @@ def suite_gradients(seed: int = 0) -> list[Check]:
                 worst = max(worst, rel)
                 cases += 1
                 done += 1
-    elapsed = time.perf_counter() - start
     checks.append(Check("gradient cases >= 50", cases >= 50, f"{cases} cases"))
     checks.append(Check("max relative error <= 1e-5", worst <= 1e-5, f"worst {worst:.2e}"))
-    checks.append(Check("runtime < 10 s", elapsed < 10.0, f"{elapsed:.1f} s"))
+    checks.append(_runtime(start, 10.0))
     return checks
 
 
@@ -228,8 +260,7 @@ def suite_submodularity(seed: int = 0) -> list[Check]:
                         worst >= -1e-9, f"worst violation {worst:.2e}"))
     checks.append(Check("squared proxy non-monotone",
                         min_marginal < 0, f"min marginal {min_marginal:.3f}"))
-    elapsed = time.perf_counter() - start
-    checks.append(Check("runtime < 30 s", elapsed < 30.0, f"{elapsed:.1f} s"))
+    checks.append(_runtime(start, 30.0))
     return checks
 
 
@@ -287,8 +318,7 @@ def suite_greedy_ratio(seed: int = 0) -> list[Check]:
         "regression objective: randomized greedy mean >= OPT/e (50 seeds, worst-shifted)",
         ok,
         f"mean {mean_val - worst_val:.3f} vs OPT/e {(opt_val - worst_val) / math.e:.3f}"))
-    elapsed = time.perf_counter() - start
-    checks.append(Check("runtime < 60 s", elapsed < 60.0, f"{elapsed:.1f} s"))
+    checks.append(_runtime(start, 60.0))
     return checks
 
 
@@ -343,8 +373,7 @@ def suite_taylor_fidelity(seed: int = 0) -> list[Check]:
         errs.append(float(np.mean(trial_errs)))
     slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])
     checks.append(Check("second-order error slope >= 1.7", slope >= 1.7, f"slope {slope:.2f}"))
-    elapsed = time.perf_counter() - start
-    checks.append(Check("runtime < 30 s", elapsed < 30.0, f"{elapsed:.1f} s"))
+    checks.append(_runtime(start, 30.0))
     return checks
 
 
@@ -358,11 +387,7 @@ def noise_experiment(seed: int):
     full = gen_synthetic("separable-2", cfgd["n_per_class"], 100 + seed)
     clean, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
     train = inject_label_noise(clean, cfgd["noise_rate"], 42 + seed)
-    cfg = GlisterConfig(
-        budget_frac=cfgd["budget"], select_every=cfgd["select_every"],
-        r_frac=cfgd["r_frac"], lr=cfgd["lr"], batch_size=cfgd["batch_size"],
-        loss=LossKind.CROSS_ENTROPY, seed=seed,
-    )
+    cfg = _online_config(cfgd, seed)
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
     k = cfg.resolve_k(train.n)
     params, subset, _ = glister_online_train(train, val, test, spec, cfg, cfgd["epochs"])
@@ -381,31 +406,26 @@ def noise_experiment(seed: int):
     )
 
 
-def noise_summary() -> dict:
-    """Seed-mean accuracies of `noise_experiment` over NOISE_SETUP["seeds"],
-    with the headroom the clean ceiling leaves the noisy random baseline."""
-    res = [noise_experiment(s) for s in NOISE_SETUP["seeds"]]
-    g, rn, nf, clean = (float(np.mean([r[i] for r in res])) for i in range(4))
-    return dict(glister=g, random=rn, flipped=nf, clean=clean, headroom=clean - rn)
-
-
-def noise_checks(m: dict) -> list[Check]:
-    """Criterion 5 on a `noise_summary`: the instance must leave the baseline
-    room to lose (headroom), then selection must beat it (margin) with a
-    clean subset (flipped fraction)."""
+def noise_checks(seed: int = 0) -> list[Check]:
+    """Criterion 5 on the seed means of `noise_experiment`: the instance
+    must leave the baseline room to lose (headroom), then selection must
+    beat it (margin) with a clean subset (flipped fraction)."""
     cfgd = NOISE_SETUP
-    acc = (f"glister {m['glister']:.3f} vs random {m['random']:.3f}, "
-           f"clean ceiling {m['clean']:.3f}, headroom {m['headroom']:+.3f}")
-    headroom_ok = m["headroom"] >= cfgd["min_headroom"]
-    margin_ok = m["glister"] >= m["random"] + cfgd["margin"]
+    start = time.perf_counter()
+    g, rn, flipped, clean = _seed_means(noise_experiment, cfgd["seeds"])
+    headroom = clean - rn
+    acc = f"glister {g:.3f} vs random {rn:.3f}, clean ceiling {clean:.3f}, headroom {headroom:+.3f}"
+    headroom_ok = headroom >= cfgd["min_headroom"]
+    margin_ok = g >= rn + cfgd["margin"]
     return [
         Check(f"noise: clean ceiling - random >= {cfgd['min_headroom']:.2f}", headroom_ok,
               acc if headroom_ok else f"instance leaves the baseline no headroom: {acc}"),
         Check(f"noise: glister accuracy >= random + {cfgd['margin']:.2f}", margin_ok,
               acc if margin_ok else f"selection not more robust than random: {acc}"),
         Check(f"noise: flipped fraction in subset <= {cfgd['flipped_cap']:.2f}",
-              m["flipped"] <= cfgd["flipped_cap"],
-              f"{m['flipped']:.3f} vs cap {cfgd['flipped_cap']:.2f} at rate {cfgd['noise_rate']:.2f}"),
+              flipped <= cfgd["flipped_cap"],
+              f"{flipped:.3f} vs cap {cfgd['flipped_cap']:.2f} at rate {cfgd['noise_rate']:.2f}"),
+        _runtime(start, cfgd["max_s"]),
     ]
 
 
@@ -421,11 +441,7 @@ def imbalance_experiment(seed: int):
     balanced_counts = train.class_counts()
     train = inject_class_imbalance(train, cfgd["affected_frac"], cfgd["keep_frac"], 7 + seed)
     rare = np.flatnonzero(train.class_counts() < balanced_counts * 0.5)
-    cfg = GlisterConfig(
-        budget_frac=cfgd["budget"], select_every=cfgd["select_every"],
-        r_frac=cfgd["r_frac"], lr=cfgd["lr"], batch_size=cfgd["batch_size"],
-        loss=LossKind.CROSS_ENTROPY, seed=seed,
-    )
+    cfg = _online_config(cfgd, seed)
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
     k = cfg.resolve_k(train.n)
     params, subset, _ = glister_online_train(train, val, test, spec, cfg, cfgd["epochs"])
@@ -442,23 +458,24 @@ def imbalance_experiment(seed: int):
     )
 
 
-def imbalance_checks() -> list[Check]:
+def imbalance_checks(seed: int = 0) -> list[Check]:
     """Criterion 6 on the seed means of `imbalance_experiment`: selection
     must over-sample the rare classes and beat proportional random."""
     cfgd = IMBALANCE_SETUP
-    res = [imbalance_experiment(s) for s in cfgd["seeds"]]
-    g, rn, rare_sel, rare_pool = (float(np.mean([r[i] for r in res])) for i in range(4))
+    start = time.perf_counter()
+    g, rn, rare_sel, rare_pool = _seed_means(imbalance_experiment, cfgd["seeds"])
     return [
         Check(f"imbalance: rare-class fraction >= {cfgd['rare_ratio']:g} x pool fraction",
               rare_sel >= cfgd["rare_ratio"] * rare_pool, f"subset {rare_sel:.3f} vs pool {rare_pool:.3f}"),
         Check(f"imbalance: glister accuracy >= proportional random + {100 * cfgd['margin']:.0f} points",
               g >= rn + cfgd["margin"], f"glister {g:.3f} vs random {rn:.3f}"),
+        _runtime(start, cfgd["max_s"]),
     ]
 
 
 def suite_robustness(seed: int = 0) -> list[Check]:
-    """Criteria: label-noise and class-imbalance desk experiments (5 seeds)."""
-    return noise_checks(noise_summary()) + imbalance_checks()
+    """Criteria 5 and 6: label-noise and class-imbalance desk experiments."""
+    return noise_checks(seed) + imbalance_checks(seed)
 
 
 def compose_four_class(n_majority: int, n_rare_gen: int, seed: int) -> Dataset:
@@ -526,6 +543,94 @@ def active_experiment(seed: int):
     return accs["glister"], accs["random"]
 
 
+def suite_active(seed: int = 0) -> list[Check]:
+    """Criterion 7: on the seed means of `active_experiment`, glister-active
+    acquisition must beat random acquisition."""
+    cfgd = ACTIVE_SETUP
+    start = time.perf_counter()
+    g, rn = _seed_means(active_experiment, cfgd["seeds"])
+    return [
+        Check(f"active: glister-active accuracy >= random acquisition + {100 * cfgd['margin']:.0f} points",
+              g >= rn + cfgd["margin"], f"glister-active {g:.3f} vs random acquisition {rn:.3f}"),
+        _runtime(start, cfgd["max_s"]),
+    ]
+
+
+def suite_monitor(seed: int = 0) -> list[Check]:
+    """Criterion 8: the Theorem 2 descent-condition monitor flags no
+    violation on online glister runs of MONITOR_SETUP."""
+    cfgd = MONITOR_SETUP
+    spec = ModelSpec("mlp", hidden=cfgd["hidden"])
+    violations = rows = 0
+    for run_seed in cfgd["seeds"]:
+        full = gen_synthetic("separable-2", cfgd["n_per_class"], 200 + run_seed)
+        train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
+        _, _, trace = glister_online_train(
+            train, val, test, spec, _online_config(cfgd, run_seed), cfgd["epochs"]
+        )
+        report = monitor_theorem2(trace, tol=cfgd["tol"])
+        violations += report["violations"]
+        rows += len(report["rows"])
+    return [
+        Check(f"monitor: descent-condition violations <= {cfgd['max_violations']}",
+              violations <= cfgd["max_violations"],
+              f"{violations} violations over {rows} selection epochs, {len(cfgd['seeds'])} seeds"),
+    ]
+
+
+def _two_gaussians(n: int, d: int, seed: int) -> tuple[Dataset, Dataset]:
+    """Two-class d-dimensional Gaussian train set of n rows, split in half at
+    -2 / +2 along the first axis, and a validation set of max(n // 10, 10)
+    rows drawn the same way."""
+    rng = SeededRng(seed)
+    half = n // 2
+    feats = rng.normals(n * d).reshape(n, d)
+    feats[:half, 0] -= 2.0
+    feats[half:, 0] += 2.0
+    train = Dataset(feats, np.array([0] * half + [1] * (n - half)), 2)
+    m = max(n // 10, 10)
+    vx = rng.normals(m * d).reshape(m, d)
+    vx[: m // 2, 0] -= 2.0
+    vx[m // 2:, 0] += 2.0
+    vy = np.array([0] * (m // 2) + [1] * (m - m // 2))
+    return train, Dataset(vx, vy, 2)
+
+
+def suite_efficiency(seed: int = 0) -> list[Check]:
+    """Criterion 9: on a logistic model, selection with r = ceil(r_frac * k)
+    refreshes is faster than with r = k, and a k-row subset epoch is faster
+    than a full epoch, each by the EFFICIENCY_SETUP speedup."""
+    cfgd = EFFICIENCY_SETUP
+    k = cfgd["k"]
+    cfg = GlisterConfig(
+        k=k, r_frac=cfgd["r_frac"], lr=cfgd["lr"], batch_size=cfgd["batch_size"], seed=cfgd["seed"]
+    )
+    train, val = _two_gaussians(cfgd["n"], cfgd["d"], cfgd["seed"])
+    params = init_model_params(train, ModelSpec("logistic"), cfg)
+    r = cfg.resolve_r(k)
+    sel = []
+    for refreshes in (k, r):
+        start = time.perf_counter()
+        greedy_dss(train, val, params, replace(cfg, refreshes=refreshes), k=k)
+        sel.append(time.perf_counter() - start)
+    epochs = []
+    for i, rows in enumerate((range(train.n), range(k))):
+        start = time.perf_counter()
+        sgd_epoch(params, train, list(rows), cfg.lr, cfg.batch_size, SeededRng(cfgd["seed"]).split(i))
+        epochs.append(time.perf_counter() - start)
+    sel_speedup = sel[0] / max(sel[1], 1e-12)
+    train_speedup = epochs[0] / max(epochs[1], 1e-12)
+    return [
+        Check(f"efficiency: r = {cfgd['r_frac']:g}k selection speedup >= {cfgd['speedup']:g}x",
+              sel_speedup >= cfgd["speedup"],
+              f"{sel_speedup:.1f}x (r={k} {sel[0]:.2f} s, r={r} {sel[1]:.2f} s)"),
+        Check(f"efficiency: subset-epoch training speedup >= {cfgd['speedup']:g}x",
+              train_speedup >= cfgd["speedup"],
+              f"{train_speedup:.1f}x (full epoch {1e3 * epochs[0]:.1f} ms, "
+              f"subset epoch {1e3 * epochs[1]:.1f} ms)"),
+    ]
+
+
 def strip_timing(csv_text: str) -> str:
     """A trace CSV with the wall-clock cells (wall_s, sel_s) of every row
     below the header replaced by "-", for comparing runs."""
@@ -576,22 +681,21 @@ def suite_determinism(seed: int = 0) -> list[Check]:
 
 
 SUITES = {
-    "gradients": suite_gradients,
-    "submodularity": suite_submodularity,
-    "greedy-ratio": suite_greedy_ratio,
-    "taylor-fidelity": suite_taylor_fidelity,
-    "robustness": suite_robustness,
-    "determinism": suite_determinism,
+    "gradients": suite_gradients,  # criterion 1
+    "submodularity": suite_submodularity,  # 2
+    "greedy-ratio": suite_greedy_ratio,  # 3
+    "taylor-fidelity": suite_taylor_fidelity,  # 4
+    "robustness": suite_robustness,  # 5 and 6
+    "active": suite_active,  # 7
+    "monitor": suite_monitor,  # 8
+    "efficiency": suite_efficiency,  # 9
+    "determinism": suite_determinism,  # 10
 }
 
 
 def run_suite(name: str, seed: int = 0) -> tuple[list[Check], bool]:
-    if name == "all":
-        checks = []
-        for fn in SUITES.values():
-            checks.extend(fn(seed))
-    elif name in SUITES:
-        checks = SUITES[name](seed)
-    else:
-        raise KeyError(name)
+    """The checks of suite `name` ("all" runs every suite in criterion
+    order) and whether all passed; raises KeyError for an unknown name."""
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    checks = [c for suite in suites for c in suite(seed)]
     return checks, all(c.passed for c in checks)

@@ -3,28 +3,25 @@ line with the measured quantities.  Expected values come from independent
 oracles: central finite differences, exhaustive enumeration, paired baseline
 runs, and wall-clock measurement.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  `glister verify --suite all`
-runs the checks of criteria 1-6 and 10 from the CLI; criteria 7-9 run only here.
+Run with `pytest tests/test_acceptance.py -v -s`.  Each test calls the
+`glister.verify` function that holds its criterion's instance and
+thresholds; `glister verify --suite all` runs the same checks from the CLI.
 """
 
-import time
+import json
 
-import numpy as np
-
-from glister.core import GlisterConfig, glister_online_train, monitor_theorem2
-from glister.data import SplitSpec, gen_synthetic, split
-from glister.experiments import run_bench
-from glister.models import LossKind, ModelSpec
+from glister.cli import cmd_run
 from glister.verify import (
-    ACTIVE_SETUP,
     Check,
     imbalance_checks,
     noise_checks,
-    noise_summary,
     strip_timing,
+    suite_active,
     suite_determinism,
+    suite_efficiency,
     suite_gradients,
     suite_greedy_ratio,
+    suite_monitor,
     suite_submodularity,
     suite_taylor_fidelity,
 )
@@ -55,80 +52,28 @@ def test_criterion_4_taylor_fidelity():
 
 
 def test_criterion_5_noise_robustness():
-    start = time.perf_counter()
-    headroom, margin, flipped = noise_checks(noise_summary())
-    elapsed = time.perf_counter() - start
-    time_ok = elapsed < 300.0
-    report("criterion 5: noise robustness", [
-        headroom, margin, flipped, Check("runtime < 300 s", time_ok, f"{elapsed:.0f} s")])
-    # The margin only means something if the noisy random baseline has room
-    # to fall below its clean-label ceiling on this instance.
-    assert headroom.passed, headroom.detail
-    assert margin.passed, margin.detail
-    assert flipped.passed, flipped.detail
-    assert time_ok, f"runtime {elapsed:.0f} s >= 300 s"
+    # the headroom check comes first: the margin only means something if the
+    # noisy random baseline has room to fall below its clean-label ceiling
+    assert report("criterion 5: noise robustness", noise_checks(0))
 
 
 def test_criterion_6_class_imbalance():
-    start = time.perf_counter()
-    checks = imbalance_checks()
-    elapsed = time.perf_counter() - start
-    time_ok = elapsed < 300.0
-    assert report("criterion 6: class imbalance",
-                  [*checks, Check("runtime < 300 s", time_ok, f"{elapsed:.0f} s")])
+    assert report("criterion 6: class imbalance", imbalance_checks(0))
 
 
 def test_criterion_7_active_learning():
-    from glister.verify import active_experiment
-
-    start = time.perf_counter()
-    res = [active_experiment(s) for s in ACTIVE_SETUP["seeds"]]
-    elapsed = time.perf_counter() - start
-    g = float(np.mean([r[0] for r in res]))
-    rn = float(np.mean([r[1] for r in res]))
-    acc_ok = g >= rn + 0.02
-    time_ok = elapsed < 600.0
-    print(f"\n[{'PASS' if acc_ok and time_ok else 'FAIL'}] criterion 7: active learning")
-    print(f"    [{'PASS' if acc_ok else 'FAIL'}] accuracy: glister-active {g:.3f} vs random acquisition {rn:.3f} (need +2 points)")
-    print(f"    [{'PASS' if time_ok else 'FAIL'}] runtime {elapsed:.0f}s < 600s")
-    assert acc_ok and time_ok
+    assert report("criterion 7: active learning", suite_active(0))
 
 
 def test_criterion_8_theorem2_monitor():
-    violations = 0
-    rows = 0
-    for seed in (1, 2, 3, 4, 5):
-        full = gen_synthetic("separable-2", 125, seed=200 + seed)
-        train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
-        cfg = GlisterConfig(budget_frac=0.3, select_every=20, r_frac=0.03,
-                            lr=0.005, batch_size=10, loss=LossKind.CROSS_ENTROPY, seed=seed)
-        spec = ModelSpec("mlp", hidden=100)
-        _, _, trace = glister_online_train(train, val, test, spec, cfg, epochs=100)
-        rep = monitor_theorem2(trace, tol=1e-7)
-        violations += rep["violations"]
-        rows += len(rep["rows"])
-    ok = violations == 0
-    print(f"\n[{'PASS' if ok else 'FAIL'}] criterion 8: descent-condition monitor "
-          f"({violations} violations over {rows} selection epochs, 5 seeds)")
-    assert ok
+    assert report("criterion 8: descent-condition monitor", suite_monitor(0))
 
 
 def test_criterion_9_efficiency():
-    result = run_bench(5000, 20, 500, 0.03, seed=0)
-    sel_ok = result["selection_speedup"] >= 5.0
-    train_ok = result["training_speedup"] >= 5.0
-    print(f"\n[{'PASS' if sel_ok and train_ok else 'FAIL'}] criterion 9: efficiency")
-    print(f"    [{'PASS' if sel_ok else 'FAIL'}] r = 0.03k selection speedup {result['selection_speedup']:.1f}x (need 5x)")
-    print(f"    [{'PASS' if train_ok else 'FAIL'}] subset-epoch training speedup {result['training_speedup']:.1f}x (need 5x)")
-    assert sel_ok and train_ok
+    assert report("criterion 9: efficiency", suite_efficiency(0))
 
 
 def test_criterion_10_determinism(tmp_path):
-    import json
-    from glister.cli import cmd_run
-
-    checks = suite_determinism(0)
-    ok_suite = all(c.passed for c in checks)
     cfg = {
         "schema_version": 1,
         "dataset": {"kind": "synthetic", "name": "separable-2", "n_per_class": 60, "seed": 4},
@@ -153,7 +98,6 @@ def test_criterion_10_determinism(tmp_path):
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         digests.append(summary[0]["subset_digest"])
         texts.append(strip_timing(trace))  # wall-clock columns are physical
-    ok_cli = texts[0] == texts[1] and digests[0] == digests[1]
-    print(f"\n[{'PASS' if ok_suite and ok_cli else 'FAIL'}] criterion 10: determinism "
-          f"(digest {digests[0][:12]}..., traces identical outside timing columns)")
-    assert ok_suite and ok_cli
+    rerun = Check("glister run reruns: identical digest and traces outside timing columns",
+                  texts[0] == texts[1] and digests[0] == digests[1], f"digest {digests[0][:12]}...")
+    assert report("criterion 10: determinism", [*suite_determinism(0), rerun])

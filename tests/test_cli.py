@@ -3,14 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from glister.cli import cmd_active, cmd_bench, cmd_run, cmd_verify, main
+from glister.cli import cmd_active, cmd_run, cmd_verify, main
 from glister.core import RunTrace
-from glister.experiments import (
-    derive_run_seed,
-    run_bench,
-    trace_from_csv,
-    trace_to_csv,
-)
+from glister.experiments import derive_run_seed, trace_from_csv, trace_to_csv
 from glister.verify import strip_timing
 
 
@@ -75,6 +70,7 @@ BAD_DATA = [
     pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__).parent)}}, id="libsvm-file-dir"),
     # this test module is not LIBSVM text
     pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__))}}, id="libsvm-file-malformed"),
+    pytest.param({"dataset": {**_DATASET, "name": "overlapping-4"}, "loss": "hinge"}, id="hinge-4-classes"),
 ]
 
 # repeated values that would give two cells one trace file
@@ -366,6 +362,13 @@ def test_verify_determinism_suite(capsys):
     assert "sgd_epoch parameters bit-identical" in out
 
 
+def test_verify_monitor_suite(capsys):
+    assert main(["verify", "--suite", "monitor"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] monitor: descent-condition violations <= 0" in out
+    assert "1/1 checks passed" in out
+
+
 def test_libsvm_config_path(tmp_path):
     data = "\n".join(
         f"{i % 2} 1:{(i % 7) * 0.5} 2:{(i % 3) * 1.0}" for i in range(40)
@@ -383,30 +386,23 @@ def test_libsvm_config_path(tmp_path):
     assert cmd_run(str(path)) == 0
 
 
-def test_bench_json_roundtrip(tmp_path):
-    result = run_bench(400, 5, 40, 0.1, seed=1)
-    text = json.dumps(result)
-    assert json.loads(text) == result
-    out = tmp_path / "bench.json"
-    assert cmd_bench(200, 4, 20, 0.1, str(out)) == 0
-    assert json.loads(out.read_text())["n"] == 200
-
-
 @pytest.mark.parametrize(
-    "args",
-    [["--r-frac", "5"], ["--r-frac", "0"], ["--r-frac", "-1"], ["--k", "0"], ["--k", "201"]],
-    ids=lambda args: "".join(args),
+    "rows, loss",
+    [
+        # the default 0.8/0.1/0.1 split leaves this file no validation row
+        pytest.param(["1 1:0.5", "0 1:1.5", "1 1:2.5"], "cross_entropy", id="3-rows"),
+        pytest.param([f"{i % 3} 1:{i}" for i in range(30)], "hinge", id="hinge-3-classes"),
+    ],
 )
-def test_bench_bad_arguments_exit_2(tmp_path, args):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--n", "200", "--d", "3", "--k", "20", *args, "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-def test_bench_r_from_resolve_r():
-    # r = ceil(r_frac * k), as GlisterConfig.resolve_r; r_frac = 1 gives r = k
-    assert [t["r"] for t in run_bench(60, 3, 20, 0.03)["selection"]] == [20, 1]
-    assert [t["r"] for t in run_bench(60, 3, 20, 1.0)["selection"]] == [20, 20]
+def test_libsvm_data_errors_exit_2(tmp_path, rows, loss):
+    data_path = tmp_path / "data.libsvm"
+    data_path.write_text("\n".join(rows))
+    path, cfg = base_config(tmp_path, dataset={"kind": "libsvm", "path": str(data_path)}, loss=loss)
+    assert cmd_run(str(path)) == 2
+    active = {key: value for key, value in cfg.items() if key not in ("budgets", "epochs")}
+    path.write_text(json.dumps(active))
+    assert cmd_active(str(path)) == 2
+    assert not Path(cfg["output_dir"]).exists()
 
 
 def test_derive_run_seed_distinct():

@@ -103,7 +103,7 @@ def random_acquire(pool_state: PoolState, batch: int, rng: SeededRng) -> list[in
     if batch > len(pool_state.unlabeled):
         raise ValueError("batch exceeds the unlabeled pool")
     unl = np.asarray(pool_state.unlabeled, dtype=np.int64)
-    return sorted(int(unl[i]) for i in rng.choice_no_replace(len(unl), batch))
+    return rng.sample(unl, batch).tolist()
 
 
 def _predictive_entropy(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def random_subset(
     if not 0 <= k <= train.n:
         raise ValueError("budget out of range")
     if match_distribution is None:
-        return sorted(int(i) for i in rng.choice_no_replace(train.n, k))
+        return rng.sample(np.arange(train.n), k).tolist()
     return stratified_random_subset(
         train.labels, train.num_classes, k, rng, reference=match_distribution.labels
     )
@@ -55,14 +55,17 @@ def craig_subset(train: Dataset, params: ModelParams, k: int, kind: LossKind) ->
 
 def knn_submod_subset(train: Dataset, reference: Dataset, k: int) -> list[int]:
     """Per-class nearest-neighbor coverage of a reference set by selected
-    training rows, with per-class quotas from the reference proportions."""
+    training rows, with per-class quotas from the reference proportions,
+    each capped at the class's training rows."""
     ref_classes = set(np.unique(reference.labels).tolist())
     train_classes = set(np.unique(train.labels).tolist())
     missing = ref_classes - train_classes
     if missing:
         raise ValueError(f"reference classes {sorted(missing)} absent from train")
     oracle = cross_facility_location(
-        train.features, train.labels, reference.features, reference.labels, per_class=True
+        train.features, train.labels, reference.features, reference.labels
     )
-    quota = MatroidQuota.from_proportions(reference.labels, reference.num_classes, k)
+    quota = MatroidQuota.from_proportions(
+        reference.labels, reference.num_classes, k, available=train.class_counts()
+    )
     return list(lazy_greedy(oracle, k, quota))

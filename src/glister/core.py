@@ -44,7 +44,8 @@ from .models import (
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
 from .submodular import (
-    MatroidQuota, SetFunctionOracle, _ModularMinusCut, _top_ranked, facility_location,
+    GREEDY_VARIANTS, MatroidQuota, SetFunctionOracle, _ModularMinusCut, facility_location,
+    greedy_pick,
 )
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
 ]
 
 REGULARIZERS = ("none", "facility_location", "random", "diversity")
-GREEDY_VARIANTS = ("naive", "stochastic", "randomized")
 
 # dedicated sub-stream indices so selection randomness never perturbs the
 # SGD shuffle stream (epoch t shuffles with split(t))
@@ -290,8 +290,8 @@ class _ConcaveOverModularProxy(SetFunctionOracle):
     """sum_i softcap(C_i + sum_{j in S} g_ij) style proxies with nonnegative
     g, vectorized over candidates."""
 
-    def __init__(self, g: np.ndarray, term_fn, labels=None, monotone=True):
-        super().__init__(g.shape[1], monotone=monotone, labels=labels)
+    def __init__(self, g: np.ndarray, term_fn, labels=None):
+        super().__init__(g.shape[1], monotone=True, labels=labels)
         self._g = g  # (m_val, n_ground), nonnegative
         self._term = term_fn  # maps modular sums (m,...) -> per-i terms
 
@@ -414,9 +414,9 @@ def greedy_dss(
     """Regularized r-round greedy selection of k training indices.
 
     Each round refreshes the validation gradient exactly at the current
-    lookahead, scores every remaining candidate by the linearized gain plus
-    lambda times the regularizer marginal, takes the top k/r (remainder in
-    the final round), and folds the chosen gradients into the lookahead.
+    lookahead, picks k/r of the remaining candidates (remainder in the final
+    round) by `greedy_pick`, scored by the linearized gain plus lambda times
+    the regularizer marginal, and folds their gradients into the lookahead.
     Deterministic given the config seed; returns indices in selection order.
     """
     n_cand = train.n
@@ -430,56 +430,38 @@ def greedy_dss(
     k_gain = int(round(cfg.lam * k_total)) if cfg.regularizer == "random" else k_total
     k_rand = k_total - k_gain
 
-    # lambda times the regularizer marginal of each pool element given the picks
+    # the regularizer marginal of each pool entry given the picks
+    regularizer = None
     if cfg.regularizer == "facility_location":
-        oracle = facility_location(train.features, train.labels, per_class=True)
-
-        def regularizer(pool, picked):
-            return cfg.lam * oracle.marginals(pool, picked)
+        regularizer = facility_location(train.features, train.labels, per_class=True).marginals
     elif cfg.regularizer == "diversity":
         dists = np.sqrt(pairwise_sq_dists(train.features))
 
         def regularizer(pool, picked):
-            return cfg.lam * dists[np.ix_(pool, picked)].sum(axis=1) if picked else 0.0
-    else:
-        def regularizer(pool, picked):
-            return 0.0
+            return dists[np.ix_(pool, picked)].sum(axis=1) if picked else 0.0
 
     state = make_gain_state(params, train, cfg.loss, eta)
     order: list[int] = []
-    remaining = np.arange(n_cand)
+    left = np.ones(n_cand, dtype=bool)  # candidates not yet picked
+
+    def score(pool):
+        gains = _taylor_gains(state, pool)
+        return gains if regularizer is None else gains + cfg.lam * regularizer(pool, order)
 
     if k_gain > 0:
         # the random mixing mode leaves only k_gain picks to spread over rounds
         r = min(cfg.resolve_r(k_total), k_gain)
         base = k_gain // r
-        counts = [base] * (r - 1) + [k_gain - base * (r - 1)]
-        for count in counts:
+        for count in [base] * (r - 1) + [k_gain - base * (r - 1)]:
             state.refresh(val)
-            pool = remaining
-            if cfg.greedy == "stochastic":
-                per_step = int(math.ceil((n_cand / k_total) * math.log(1.0 / cfg.epsilon)))
-                s = min(len(remaining), max(count * per_step, count))
-                pool = remaining[np.sort(rng.choice_no_replace(len(remaining), s))]
-            scores = _taylor_gains(state, pool) + regularizer(pool, order)
-            if cfg.greedy == "randomized":
-                # each pick is uniform over the top k_total still unpicked;
-                # removing one entry leaves the rest of the ranking in order
-                live = _top_ranked(pool, scores, count + k_total).tolist()
-                picked = np.array(
-                    [live.pop(int(rng.randint(min(k_total, len(live))))) for _ in range(count)],
-                    dtype=np.int64,
-                )
-            else:
-                picked = _top_ranked(pool, scores, count)
+            picked = greedy_pick(
+                np.flatnonzero(left), score, count, cfg.greedy, rng, k_total, n_cand, cfg.epsilon
+            )
             state.add(picked)
-            order.extend(int(p) for p in picked)
-            mask = np.ones(len(remaining), dtype=bool)
-            mask[np.searchsorted(remaining, np.sort(picked))] = False
-            remaining = remaining[mask]
+            order.extend(picked.tolist())
+            left[picked] = False
     if k_rand > 0:
-        extra = remaining[np.sort(rng.choice_no_replace(len(remaining), k_rand))]
-        order.extend(int(p) for p in extra)
+        order.extend(rng.sample(np.flatnonzero(left), k_rand).tolist())
     return order
 
 
@@ -525,14 +507,14 @@ def stratified_random_subset(
 ) -> list[int]:
     """Class-stratified uniform subset of the rows of `labels`, with
     largest-remainder quotas from the class proportions of `reference`
-    (default: `labels` itself)."""
-    quota = MatroidQuota.from_proportions(labels if reference is None else reference, num_classes, k)
+    (default: `labels` itself), each capped at its class's rows."""
+    quota = MatroidQuota.from_proportions(
+        labels if reference is None else reference, num_classes, k,
+        available=np.bincount(labels, minlength=num_classes),
+    )
     out: list[int] = []
     for c, q in sorted(quota.per_class.items()):
-        rows = np.flatnonzero(labels == c)
-        if len(rows) < q:
-            raise ValueError(f"class {c} has too few rows for its quota of {q}")
-        out.extend(int(rows[i]) for i in np.sort(rng.choice_no_replace(len(rows), q)))
+        out.extend(rng.sample(np.flatnonzero(labels == c), q).tolist())
     return sorted(out)
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "parse_libsvm",
     "serialize_libsvm",
     "split",
+    "split_sizes",
     "inject_label_noise",
     "inject_class_imbalance",
     "gen_synthetic",
@@ -180,6 +181,14 @@ def serialize_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def split_sizes(m: int, spec: SplitSpec) -> tuple[int, int, int]:
+    """The (train, val, test) sizes `split` gives a class of m rows: val and
+    test floored, the rest to train."""
+    n_val = int(math.floor(spec.val_frac * m))
+    n_test = int(math.floor(spec.test_frac * m))
+    return m - n_val - n_test, n_val, n_test
+
+
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified disjoint split; per class, val/test sizes are floored and
     the remainder goes to train.  Shuffling is driven by `spec.seed`."""
@@ -190,10 +199,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     for c in range(ds.num_classes):
         rows = np.flatnonzero(ds.labels == c)
         rows = rng.shuffle(rows)
-        m = len(rows)
-        n_val = int(math.floor(spec.val_frac * m))
-        n_test = int(math.floor(spec.test_frac * m))
-        n_train = m - n_val - n_test
+        n_train, n_val, _ = split_sizes(len(rows), spec)
         train_idx.extend(rows[:n_train])
         val_idx.extend(rows[n_train:n_train + n_val])
         test_idx.extend(rows[n_train + n_val:])
@@ -203,10 +209,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return tuple(ds.take(p) for p in parts)
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Flip exactly round(rate * n) labels to a uniformly chosen different
     class (round half away from zero).  Flags record the flip."""
@@ -214,7 +216,7 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
         raise ValueError("rate must lie in [0, 1)")
     if ds.num_classes < 2:
         raise ValueError("need at least two classes to flip labels")
-    count = _round_half_away(rate * ds.n)
+    count = int(math.floor(rate * ds.n + 0.5))  # rate * n >= 0
     rng = SeededRng(seed)
     chosen = rng.choice_no_replace(ds.n, count)
     labels = ds.labels.copy()
@@ -249,10 +251,8 @@ def inject_class_imbalance(
         n_keep = int(math.ceil(keep_frac * len(rows)))
         if n_keep == 0:
             raise ValueError(f"class {c} emptied by imbalance injection")
-        class_rng = rng.split(c)
-        kept = rows[np.sort(class_rng.choice_no_replace(len(rows), n_keep))]
         keep_mask[rows] = False
-        keep_mask[kept] = True
+        keep_mask[rng.split(c).sample(rows, n_keep)] = True
     return ds.take(np.flatnonzero(keep_mask))
 
 

@@ -33,11 +33,13 @@ from .data import (
     Dataset,
     SplitSpec,
     SYNTHETIC_KINDS,
+    _SHIFTED,
     gen_synthetic,
     inject_class_imbalance,
     inject_label_noise,
     parse_libsvm,
     split,
+    split_sizes,
     standardize,
     synthetic_classes,
 )
@@ -64,8 +66,6 @@ TRACE_COLUMNS = (
     "subset_digest", "dot_vt", "cos_theta", "grad_norm_t", "lr_bound",
 )
 ACTIVE_COLUMNS = ("round", "labeled_count", "val_loss", "test_acc", "batch_digest")
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-ACTIVE_HEADER = ",".join(ACTIVE_COLUMNS)
 
 
 def _fmt(x) -> str:
@@ -273,10 +273,14 @@ def _data_spec(raw: dict) -> DataSpec:
             _read(imb, "corruption.imbalance.keep_frac", 0.1, "a number in (0, 1)"),
             _read(imb, "corruption.imbalance.seed", None, "an integer"),
         )
+    n_per_class = _read(ds, "dataset.n_per_class", 250, "an integer >= 2")
+    # plain synthetic kinds split n_per_class rows of each class
+    plain = isinstance(source, str) and source not in _SHIFTED
+    if plain and 0 in split_sizes(n_per_class, split_spec):
+        raise ConfigError(f"dataset.n_per_class {n_per_class} leaves an empty split part")
     return DataSpec(
-        source, _read(ds, "dataset.n_per_class", 250, "an integer >= 2"),
-        _read(ds, "dataset.seed", None, "an integer"), split_spec, noise, imbalance,
-        _read(raw, "standardize", True, "true or false"),
+        source, n_per_class, _read(ds, "dataset.seed", None, "an integer"), split_spec,
+        noise, imbalance, _read(raw, "standardize", True, "true or false"),
     )
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "forward",
     "last_layer_inputs",
     "loss_value",
-    "loss_from_logits",
     "logit_grads",
     "grad_full",
     "last_layer_per_sample_grads",
@@ -203,11 +202,7 @@ def _softplus(v: np.ndarray) -> np.ndarray:
 
 def loss_value(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind) -> float:
     """Sum of per-sample losses on (x, y)."""
-    return loss_from_logits(forward(params, np.asarray(x, dtype=np.float64)), y, kind)
-
-
-def loss_from_logits(z: np.ndarray, y: np.ndarray, kind: LossKind) -> float:
-    """Sum of per-sample losses given the logits z = forward(params, x)."""
+    z = forward(params, np.asarray(x, dtype=np.float64))
     y = _check_labels(y, kind, z.shape[1])
     if kind == LossKind.CROSS_ENTROPY:
         lse = log_sum_exp_rows(z)

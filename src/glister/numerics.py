@@ -113,6 +113,10 @@ class SeededRng:
             pool[i], pool[j] = pool[j], pool[i]
         return np.array(pool[:k], dtype=np.int_)
 
+    def sample(self, pool: np.ndarray, k: int) -> np.ndarray:
+        """k entries of the sorted array `pool` at `choice_no_replace` positions, sorted."""
+        return pool[np.sort(self.choice_no_replace(len(pool), k))]
+
     def split(self, index: int) -> "SeededRng":
         """Child generator for stream `index`; never shares this stream."""
         return SeededRng(_mix64(self.seed ^ _mix64(((index + 1) * _GAMMA) & _MASK)))

@@ -2,10 +2,10 @@
 
 Every selector ranks by one rule, `_top_ranked`: best score first, ties to
 the lowest index, NaN last (lazy greedy's heap breaks ties the same way), so
-that different algorithms select identically.  The naive, stochastic and
-randomized engines share one step loop, `_greedy`, and differ only in their
-pick.  The facility-location oracle caches the coverage of its last subset,
-so one instance must not be shared between threads.
+that different algorithms select identically.  Every non-lazy greedy step
+picks by one rule, `greedy_pick`: once per step in the engines' loop
+`_greedy`, once per round in GreedyDSS.  The facility-location oracle caches
+its last coverage, so one instance must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .data import Dataset
 from .numerics import SeededRng, pairwise_sq_dists
 
 __all__ = [
+    "GREEDY_VARIANTS",
     "SetFunctionOracle",
     "MatroidQuota",
     "from_callable",
@@ -28,6 +29,7 @@ __all__ = [
     "lazy_greedy",
     "stochastic_greedy",
     "randomized_greedy",
+    "greedy_pick",
     "exhaustive_max",
     "facility_location",
     "cross_facility_location",
@@ -35,6 +37,8 @@ __all__ = [
     "lr_submodular",
     "kmeans",
 ]
+
+GREEDY_VARIANTS = ("naive", "stochastic", "randomized")
 
 
 class SetFunctionOracle:
@@ -101,24 +105,41 @@ class MatroidQuota:
         return sum(self.per_class.values())
 
     @staticmethod
-    def from_proportions(reference_labels: np.ndarray, num_classes: int, k: int) -> "MatroidQuota":
+    def from_proportions(
+        reference_labels: np.ndarray, num_classes: int, k: int, available=None
+    ) -> "MatroidQuota":
         """quota_y = round(k * count_y / total), corrected by largest
         remainder (ties to the lowest class id) so the sum is exactly k.
         The remainders lie in [-1/2, 1/2) and sum to the correction, so at
         most half the classes move, each by one, and a class losing one has
-        a negative remainder, hence a quota >= 1."""
+        a negative remainder, hence a quota >= 1.
+
+        With `available` (rows per class), a quota above its class's rows is
+        capped there and the rest of the budget is shared out over the
+        uncapped classes by the same rule, until no class is over; zero
+        weights stay at 0.  Where no cap binds, the quotas are those
+        without `available`."""
         counts = np.bincount(np.asarray(reference_labels, dtype=np.int64), minlength=num_classes)
         if len(counts) > num_classes:
             raise ValueError("reference labels must lie in [0, num_classes)")
-        total = counts.sum()
-        if total == 0:
+        if counts.sum() == 0:
             raise ValueError("empty reference set")
-        exact = k * counts / total
-        quota = np.floor(exact + 0.5).astype(np.int64)
-        diff = k - int(quota.sum())
-        step = int(np.sign(diff))
-        quota[_top_ranked(np.arange(num_classes), step * (exact - quota), abs(diff))] += step
-        return MatroidQuota({c: int(quota[c]) for c in range(num_classes) if quota[c] > 0})
+        cap = np.full(num_classes, k) if available is None else np.asarray(available, dtype=np.int64)
+        capped = np.zeros(num_classes, dtype=bool)
+        while True:
+            weights = np.where(capped, 0, counts)
+            if not weights.any():
+                raise ValueError(f"the reference classes have too few rows for a budget of {k}")
+            budget = k - int(cap[capped].sum())
+            exact = budget * weights / weights.sum()
+            quota = np.floor(exact + 0.5).astype(np.int64)
+            diff = budget - int(quota.sum())
+            step = int(np.sign(diff))
+            quota[_top_ranked(np.arange(num_classes), step * (exact - quota), abs(diff))] += step
+            quota[capped] = cap[capped]
+            if not (over := quota > cap).any():
+                return MatroidQuota({c: int(quota[c]) for c in range(num_classes) if quota[c] > 0})
+            capped |= over
 
 
 def _quota_left(f: SetFunctionOracle, k: int, quota: MatroidQuota | None) -> dict | None:
@@ -135,20 +156,39 @@ def _quota_left(f: SetFunctionOracle, k: int, quota: MatroidQuota | None) -> dic
     return dict(quota.per_class)
 
 
-def _greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None, choose) -> list[int]:
-    """The step loop of every non-lazy engine: k times, `choose(feasible,
-    selected)` picks one of the unselected elements whose class still has
-    quota.  Returns elements in selection order."""
+def greedy_pick(pool, score, count, variant, rng, k, n, epsilon) -> np.ndarray:
+    """`count` picks from the sorted `pool` by `score(entries)`, for budget k
+    of n: naive takes the top; stochastic (Mirzasoleiman et al.) the top of a
+    sample of count * ceil((n/k) ln(1/epsilon)) entries, or of the whole pool
+    if smaller; randomized (Buchbinder et al.) each uniform over the top k."""
+    if variant == "stochastic":
+        per_pick = math.ceil((n / k) * math.log(1.0 / epsilon))
+        pool = rng.sample(pool, min(len(pool), count * per_pick))
+    if variant != "randomized":
+        return _top_ranked(pool, score(pool), count)
+    # removing one entry leaves the rest of the ranking in order
+    live = _top_ranked(pool, score(pool), count + k).tolist()
+    return np.array([live.pop(rng.randint(min(k, len(live)))) for _ in range(count)], np.int64)
+
+
+def _greedy(f: SetFunctionOracle, k: int, quota, variant="naive", rng=None, epsilon=0.01) -> list:
+    """The step loop of every non-lazy engine: k times, `greedy_pick` takes
+    one of the unselected elements whose class still has quota.  Returns
+    elements in selection order."""
     left = _quota_left(f, k, quota)
     selected: list[int] = []
     pool = np.arange(f.n)
+
+    def gains(entries):
+        return f.marginals(entries, selected)
+
     for _ in range(k):
         feas = pool
         if left is not None:
             feas = pool[np.isin(f.labels[pool], [c for c, q in left.items() if q > 0])]
             if len(feas) == 0:
                 raise ValueError("infeasible quota: class exhausted")
-        pick = int(choose(feas, selected))
+        pick = int(greedy_pick(feas, gains, 1, variant, rng, k, f.n, epsilon)[0])
         selected.append(pick)
         if left is not None:
             left[int(f.labels[pick])] -= 1
@@ -159,7 +199,7 @@ def _greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None, choose) ->
 def naive_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None) -> list[int]:
     """k rounds of best-marginal-gain selection; ties to the lowest index.
     Returns elements in selection order."""
-    return _greedy(f, k, quota, lambda feas, sel: _top_ranked(feas, f.marginals(feas, sel), 1)[0])
+    return _greedy(f, k, quota)
 
 
 class _SelectionList(list):
@@ -210,25 +250,14 @@ def stochastic_greedy(
     candidates and adds the best; deterministic given the seed."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    sample_size = max(int(math.ceil((f.n / max(k, 1)) * math.log(1.0 / epsilon))), 1)
-
-    def choose(feas, selected):
-        sample = feas[np.sort(rng.choice_no_replace(len(feas), min(len(feas), sample_size)))]
-        return _top_ranked(sample, f.marginals(sample, selected), 1)[0]
-
-    return _greedy(f, k, quota, choose)
+    return _greedy(f, k, quota, "stochastic", rng, epsilon)
 
 
 def randomized_greedy(f: SetFunctionOracle, k: int, rng: SeededRng) -> list[int]:
     """Non-monotone-safe greedy: each step picks uniformly among the top-k
     feasible elements by marginal gain.  Always returns exactly k elements,
     even when late marginals are negative."""
-
-    def choose(feas, selected):
-        top = _top_ranked(feas, f.marginals(feas, selected), k)
-        return top[rng.randint(len(top))]
-
-    return _greedy(f, k, None, choose)
+    return _greedy(f, k, None, "randomized", rng)
 
 
 def exhaustive_max(
@@ -261,7 +290,7 @@ class _FacilityLocation(SetFunctionOracle):
     w(i, j) = d_max - ||x_i - x_j||^2; uncovered rows contribute 0 (the max
     over an empty set is defined as 0).
 
-    With per_class, a ground row covers only cover rows of its own label.
+    With cover labels, a ground row covers only cover rows of its own label.
     Since w >= 0 (d_max is the largest distance), setting the cross-class
     entries of `sim` to 0 once, in place, gives every value and gain the
     clamp max(masked max, 0) would give, with no masking per call.
@@ -272,9 +301,9 @@ class _FacilityLocation(SetFunctionOracle):
     bit-identical to a recomputation.
     """
 
-    def __init__(self, sim: np.ndarray, cover_labels, ground_labels, per_class: bool):
+    def __init__(self, sim: np.ndarray, cover_labels, ground_labels):
         super().__init__(sim.shape[0], monotone=True, labels=ground_labels)
-        if per_class:
+        if cover_labels is not None:
             sim[self.labels[:, None] != np.asarray(cover_labels)[None, :]] = 0.0
         self._sim = sim  # (n_ground, n_cover)
         self._buf = np.empty(sim.shape[1])  # scratch row for `marginal`
@@ -325,20 +354,19 @@ def facility_location(
         sim,
         labels if per_class else None,
         None if labels is None else np.asarray(labels, dtype=np.int64),
-        per_class,
     )
 
 
 def cross_facility_location(
     ground_features: np.ndarray,
-    ground_labels: np.ndarray | None,
+    ground_labels: np.ndarray,
     cover_features: np.ndarray,
-    cover_labels: np.ndarray | None,
-    per_class: bool = True,
+    cover_labels: np.ndarray,
 ) -> SetFunctionOracle:
-    """Facility location where selected ground rows cover a separate set of
-    rows (used by the nearest-neighbor objective with a reference set)."""
-    if per_class and (ground_labels is None or cover_labels is None):
+    """Per-class facility location where selected ground rows cover the rows
+    of their own label in a separate set (the nearest-neighbor objective
+    with a reference set)."""
+    if ground_labels is None or cover_labels is None:
         raise ValueError("per_class facility location needs labels")
     g = np.asarray(ground_features, dtype=np.float64)
     c = np.asarray(cover_features, dtype=np.float64)
@@ -348,10 +376,7 @@ def cross_facility_location(
     d_max = float(dists.max())
     sim = d_max - dists
     return _FacilityLocation(
-        sim,
-        None if cover_labels is None else np.asarray(cover_labels, dtype=np.int64),
-        None if ground_labels is None else np.asarray(ground_labels, dtype=np.int64),
-        per_class,
+        sim, np.asarray(cover_labels, dtype=np.int64), np.asarray(ground_labels, dtype=np.int64)
     )
 
 

@@ -5,11 +5,14 @@ import pytest
 
 from glister.baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subset
 from glister.core import GlisterConfig
-from glister.data import Dataset, SplitSpec, gen_synthetic, split
+from glister.data import Dataset, SplitSpec, gen_synthetic, inject_class_imbalance, split
 from glister.experiments import run_cell
-from glister.models import LossKind, ModelParams, ModelSpec, init_params
+from glister.models import (
+    LossKind, ModelParams, ModelSpec, init_params, last_layer_per_sample_grads,
+)
 from glister.numerics import SeededRng
 from glister.submodular import exhaustive_max, from_callable
+from glister.verify import IMBALANCE_SETUP
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +67,6 @@ def test_craig_ratio_against_enumeration(data):
     params = init_params([2, 2], "identity", SeededRng(4))
     sel = craig_subset(small, params, 4, LossKind.CROSS_ENTROPY)
 
-    from glister.models import last_layer_per_sample_grads
-
-    grads = last_layer_per_sample_grads(small.features @ np.eye(2) * 0 + small.features, None, None, None) if False else None
     # rebuild the similarity exactly as craig does, then enumerate
     g = last_layer_per_sample_grads(params, small.features, small.labels, LossKind.CROSS_ENTROPY)
     sq = np.einsum("ij,ij->i", g, g)
@@ -81,6 +81,27 @@ def test_craig_ratio_against_enumeration(data):
     f = from_callable(12, value, True)
     _, opt = exhaustive_max(f, 4)
     assert value(sel) >= (1 - 1 / math.e) * opt
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validation_quotas_capped_on_imbalanced_train(seed):
+    """Criterion-6 data: the balanced validation set asks 22 of each class
+    for k = 88, but each rare class keeps 20 train rows.  Both rare quotas
+    are capped at 20 and the shortfall goes to the two other classes."""
+    cfgd = IMBALANCE_SETUP
+    full = gen_synthetic("overlapping-4", cfgd["n_per_class"], 100 + seed)
+    train, val, _ = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
+    train = inject_class_imbalance(train, cfgd["affected_frac"], cfgd["keep_frac"], 7 + seed)
+    k = GlisterConfig(budget_frac=cfgd["budget"]).resolve_k(train.n)
+    rows = train.class_counts()
+    assert k == 88 and sorted(rows) == [20, 20, 200, 200]
+    want = np.where(rows == 20, 20, 24)
+    for sel in (
+        random_subset(train, k, SeededRng(seed), match_distribution=val),
+        knn_submod_subset(train, val, k),
+    ):
+        assert len(set(sel)) == k
+        assert np.array_equal(np.bincount(train.labels[sel], minlength=4), want)
 
 
 def test_knn_submod_quotas_met(data):

@@ -45,6 +45,8 @@ BAD_DATA = [
     pytest.param({"dataset": {**_DATASET, "n_per_class": 0}}, id="n_per_class-0"),
     pytest.param({"dataset": {**_DATASET, "n_per_class": "a"}}, id="n_per_class-str"),
     pytest.param({"dataset": {**_DATASET, "n_per_class": 12.5}}, id="n_per_class-float"),
+    # floor(0.1 * 5) = 0 rows of each class for val and test
+    pytest.param({"dataset": {**_DATASET, "n_per_class": 5}}, id="n_per_class-split-empty"),
     pytest.param({"split": {"train": 0.5}}, id="split-missing-keys"),
     pytest.param({"split": {"train": 2, "val": 0.1, "test": 0.1}}, id="split-train-2"),
     pytest.param({"split": {"train": 0.8, "val": 0.3, "test": 0.1}}, id="split-sum"),
@@ -252,6 +254,32 @@ def test_corruption_config(tmp_path):
         corruption={"noise_rate": 0.2, "noise_seed": 5},
     )
     assert cmd_run(str(path)) == 0
+
+
+def test_small_n_per_class_needs_a_plain_kind(tmp_path):
+    """Only the plain kinds split; a shifted-validation kind uses every row."""
+    dataset = {"kind": "synthetic", "name": "shifted-validation-2", "n_per_class": 5, "seed": 3}
+    path, cfg = base_config(
+        tmp_path, dataset=dataset, strategies=["random"], budgets=[0.5], seeds=[1], epochs=2
+    )
+    assert cmd_run(str(path)) == 0
+    assert Path(cfg["output_dir"]).exists()
+
+
+def test_proportional_strategies_run_on_imbalanced_train(tmp_path):
+    """Validation-proportional quotas above a rare class's train rows are
+    capped, so the run finishes every cell."""
+    path, cfg = base_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "name": "overlapping-4", "n_per_class": 250, "seed": 101},
+        corruption={"imbalance": {"affected_frac": 0.3, "keep_frac": 0.1, "seed": 8}},
+        strategies=["random_prior", "knnsub_val"],
+        budgets=[0.2],
+        seeds=[1],
+        epochs=2,
+    )
+    assert cmd_run(str(path)) == 0
+    assert len(list(Path(cfg["output_dir"]).glob("trace_*.csv"))) == 2
 
 
 def test_trace_csv_roundtrip():

@@ -168,6 +168,18 @@ def test_rng_choice_no_replace_pins_scalar_stream(n):
             assert bulk._counter == ref._counter
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 500])
+def test_rng_sample_pins_sorted_choice(n):
+    for seed in (0, 3, 41):
+        ref, rng = SeededRng(seed), SeededRng(seed)
+        pool = np.sort(SeededRng(seed + 1).choice_no_replace(3 * n, n)) * 3 + 1
+        for k in sorted({0, min(1, n), n // 3, n}):
+            want = np.array(sorted(pool[ref.choice_no_replace(n, k)]), dtype=pool.dtype)
+            got = rng.sample(pool, k)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert rng._counter == ref._counter
+
+
 def test_rng_shuffle_permutes_rows_of_2d_input():
     x = np.arange(10).reshape(5, 2)
     out = SeededRng(0).shuffle(x)

@@ -232,6 +232,32 @@ def test_quota_from_proportions_matches_stepwise_correction():
         MatroidQuota.from_proportions(np.array([0, 1, 2, 2]), 2, 3)
 
 
+def test_quota_caps_at_available_rows():
+    labels = np.repeat(np.arange(3), [40, 30, 30])
+
+    def quota(available):
+        return MatroidQuota.from_proportions(labels, 3, 10, available=available).per_class
+
+    assert quota([50, 50, 50]) == {0: 4, 1: 3, 2: 3}  # no cap binds
+    assert quota([2, 50, 50]) == {0: 2, 1: 4, 2: 4}
+    # class 1 goes over only once class 0's shortfall is shared out
+    assert quota([2, 3, 50]) == {0: 2, 1: 3, 2: 5}
+    with pytest.raises(ValueError, match="too few rows"):
+        quota([2, 3, 4])
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        c = int(rng.integers(1, 8))
+        labels = np.repeat(np.arange(c), rng.integers(1, 30, c))
+        available = rng.integers(0, 20, c)
+        k = int(rng.integers(0, available.sum() + 1))
+        plain = MatroidQuota.from_proportions(labels, c, k).per_class
+        capped = MatroidQuota.from_proportions(labels, c, k, available=available).per_class
+        assert sum(capped.values()) == k
+        assert all(q <= available[y] for y, q in capped.items())
+        if all(q <= available[y] for y, q in plain.items()):
+            assert capped == plain
+
+
 def _stepwise_greedy(f, k, quota=None, rng=None, sample_size=None, top_k=None):
     """Reference step loop with a full lexsort ranking: the feasible pool under
     the quota left, optionally a seeded sample of `sample_size` from it, then
@@ -341,9 +367,9 @@ def test_per_class_facility_location_needs_labels():
     with pytest.raises(ValueError, match="needs labels"):
         facility_location(pts, None, per_class=True)
     with pytest.raises(ValueError, match="needs labels"):
-        cross_facility_location(pts, labels, pts, None, per_class=True)
+        cross_facility_location(pts, labels, pts, None)
     with pytest.raises(ValueError, match="needs labels"):
-        cross_facility_location(pts, None, pts, labels, per_class=True)
+        cross_facility_location(pts, None, pts, labels)
 
 
 def fl_factories(seed, n=40):

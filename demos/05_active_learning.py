@@ -8,7 +8,7 @@ gain-driven acquirer banks early.
 
 import numpy as np
 
-from glister.active import run_active
+from glister.active import initial_labeled, run_active
 from glister.core import GlisterConfig
 from glister.numerics import SeededRng
 from glister.verify import ACTIVE_SETUP, compose_four_class, downsample_classes
@@ -24,21 +24,10 @@ rare_mask = np.isin(pool.labels, [2, 3])
 print(f"pool {pool.n} rows, rare classes hold {int(rare_mask.sum())} rows; "
       f"balanced validation {val.n} rows")
 
-cfg = GlisterConfig(k=ACTIVE_SETUP["batch"], r_frac=0.03, lr=ACTIVE_SETUP["lr"],
-                    batch_size=ACTIVE_SETUP["batch_size"],
+cfg = GlisterConfig(r_frac=0.03, lr=ACTIVE_SETUP["lr"], batch_size=ACTIVE_SETUP["batch_size"],
                     loss=LossKind.CROSS_ENTROPY, seed=seed)
 spec = ModelSpec("mlp", hidden=ACTIVE_SETUP["hidden"])
-counts = pool.class_counts()
-rng = SeededRng(seed).split(71)
-quota = {c: max(1, round(20 * counts[c] / counts.sum())) for c in range(4)}
-while sum(quota.values()) > 20:
-    quota[max(quota, key=lambda c: quota[c])] -= 1
-initial = sorted(
-    int(rows[i])
-    for c, q in quota.items()
-    for rows in [np.flatnonzero(pool.labels == c)]
-    for i in rng.choice_no_replace(len(rows), q)
-)
+initial = initial_labeled(pool, ACTIVE_SETUP["initial"], SeededRng(seed).split(71))
 
 for strat in ("glister", "random", "fass"):
     _, state, trace = run_active(

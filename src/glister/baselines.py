@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import stratified_random_subset
 from .data import Dataset
 from .models import LossKind, ModelParams, last_layer_per_sample_grads
 from .numerics import SeededRng
@@ -36,13 +35,18 @@ def random_subset(
 ) -> list[int]:
     """Uniform subset without replacement; with `match_distribution` the
     per-class counts follow the reference set's proportions (largest
-    remainder)."""
+    remainder), each capped at the class's training rows, and the classes
+    are drawn in order from the one stream `rng`."""
     if not 0 <= k <= train.n:
         raise ValueError("budget out of range")
     if match_distribution is None:
         return rng.sample(np.arange(train.n), k).tolist()
-    return stratified_random_subset(
-        train.labels, train.num_classes, k, rng, reference=match_distribution.labels
+    quota = MatroidQuota.from_proportions(
+        match_distribution.labels, train.num_classes, k, available=train.class_counts()
+    )
+    return sorted(
+        i for c, q in sorted(quota.per_class.items())
+        for i in rng.sample(np.flatnonzero(train.labels == c), q).tolist()
     )
 
 

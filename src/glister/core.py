@@ -44,8 +44,7 @@ from .models import (
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
 from .submodular import (
-    GREEDY_VARIANTS, MatroidQuota, SetFunctionOracle, _ModularMinusCut, facility_location,
-    greedy_pick,
+    GREEDY_VARIANTS, SetFunctionOracle, _ModularMinusCut, facility_location, greedy_pick,
 )
 
 __all__ = [
@@ -64,10 +63,10 @@ __all__ = [
     "monitor_theorem2",
     "monitor_theorem3",
     "subset_digest",
-    "stratified_random_subset",
 ]
 
-REGULARIZERS = ("none", "facility_location", "random", "diversity")
+# the regularizers, each with the lambda it takes when none is given
+_LAMBDA_DEFAULTS = {"none": 0.0, "facility_location": 100.0, "random": 0.9, "diversity": 1.0}
 
 # dedicated sub-stream indices so selection randomness never perturbs the
 # SGD shuffle stream (epoch t shuffles with split(t))
@@ -83,7 +82,7 @@ class GlisterConfig:
     integer >= 1, or `r_frac` in (0, 1], default 0.03) sets how many times
     the validation gradient is recomputed exactly; between refreshes stale
     scores pick k/r elements per round.  `eta` defaults to the optimizer
-    learning rate.
+    learning rate, and `lam` the regularizer's default (`_LAMBDA_DEFAULTS`).
     """
 
     k: int | None = None
@@ -95,17 +94,19 @@ class GlisterConfig:
     lr: float = 0.05
     batch_size: int = 32
     regularizer: str = "none"
-    lam: float = 0.0
+    lam: float | None = None
     greedy: str = "naive"
     epsilon: float = 0.01
     loss: LossKind = LossKind.CROSS_ENTROPY
     seed: int = 0
 
     def __post_init__(self):
-        if self.regularizer not in REGULARIZERS:
+        if self.regularizer not in _LAMBDA_DEFAULTS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.greedy not in GREEDY_VARIANTS:
             raise ValueError(f"unknown greedy variant {self.greedy!r}")
+        if self.lam is None:
+            object.__setattr__(self, "lam", _LAMBDA_DEFAULTS[self.regularizer])
         for name in ("select_every", "batch_size", "refreshes"):
             value = getattr(self, name)
             if value is None and name == "refreshes":
@@ -409,9 +410,9 @@ def greedy_dss(
     params: ModelParams,
     cfg: GlisterConfig,
     rng: SeededRng | None = None,
-    k: int | None = None,
 ) -> list[int]:
-    """Regularized r-round greedy selection of k training indices.
+    """Regularized r-round greedy selection of `cfg.resolve_k(train.n)`
+    training indices.
 
     Each round refreshes the validation gradient exactly at the current
     lookahead, picks k/r of the remaining candidates (remainder in the final
@@ -420,9 +421,7 @@ def greedy_dss(
     Deterministic given the config seed; returns indices in selection order.
     """
     n_cand = train.n
-    k_total = cfg.resolve_k(n_cand) if k is None else k
-    if not 1 <= k_total <= n_cand:
-        raise ValueError(f"budget {k_total} out of range for {n_cand} candidates")
+    k_total = cfg.resolve_k(n_cand)
     rng = SeededRng(cfg.seed).split(_SELECT_STREAM) if rng is None else rng
     eta = cfg.lr if cfg.eta is None else cfg.eta
 
@@ -500,22 +499,6 @@ class RunTrace:
 
     def selection_records(self) -> list[EpochRecord]:
         return [r for r in self.records if r.dot_vt is not None]
-
-
-def stratified_random_subset(
-    labels: np.ndarray, num_classes: int, k: int, rng: SeededRng, reference=None
-) -> list[int]:
-    """Class-stratified uniform subset of the rows of `labels`, with
-    largest-remainder quotas from the class proportions of `reference`
-    (default: `labels` itself), each capped at its class's rows."""
-    quota = MatroidQuota.from_proportions(
-        labels if reference is None else reference, num_classes, k,
-        available=np.bincount(labels, minlength=num_classes),
-    )
-    out: list[int] = []
-    for c, q in sorted(quota.per_class.items()):
-        out.extend(rng.sample(np.flatnonzero(labels == c), q).tolist())
-    return sorted(out)
 
 
 def init_model_params(train: Dataset, model_spec: ModelSpec, cfg: GlisterConfig) -> ModelParams:
@@ -627,11 +610,10 @@ def glister_online_train(
 ) -> tuple[ModelParams, list[int], RunTrace]:
     """GLISTER-ONLINE: GreedyDSS reselects the subset every `select_every`
     epochs (from epoch 0), with the descent monitors on each selection."""
-    k = cfg.resolve_k(train.n)
     params = init_model_params(train, model_spec, cfg)
 
     def select(params, rng):
-        return greedy_dss(train, val, params, cfg, rng=rng, k=k)
+        return greedy_dss(train, val, params, cfg, rng=rng)
 
     return _selection_loop(
         train, val, test, params, cfg, epochs, select, cfg.select_every,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .active import ACQUIRE_STRATEGIES, FILTER_MULT, run_active
+from .active import ACQUIRE_STRATEGIES, FILTER_MULT, initial_labeled, run_active
 from .baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subset
 from .core import (
     EpochRecord,
@@ -27,7 +27,6 @@ from .core import (
     _selection_loop,
     glister_online_train,
     init_model_params,
-    stratified_random_subset,
 )
 from .data import (
     Dataset,
@@ -227,9 +226,6 @@ _COMMON_KEYS = {
 _CONFIG_KEYS = _COMMON_KEYS | {"budgets", "epochs"}
 _ACTIVE_KEYS = _COMMON_KEYS | {"rounds", "batch", "epochs_per_round", "initial_labeled", "filter_mult"}
 
-# documented defaults when the config leaves lambda unset
-_LAMBDA_DEFAULTS = {"none": 0.0, "random": 0.9, "facility_location": 100.0, "diversity": 1.0}
-
 
 def glister_config(raw: dict) -> GlisterConfig:
     """The selection template (seed 0, no budget) from the keys the config
@@ -237,9 +233,7 @@ def glister_config(raw: dict) -> GlisterConfig:
     settings = {key: raw[key] for key in _SELECTION_KEYS if key in raw}
     if "loss" in raw:
         settings["loss"] = LossKind(raw["loss"])
-    template = GlisterConfig(**settings)
-    lam = raw.get("lambda")
-    return replace(template, lam=_LAMBDA_DEFAULTS[template.regularizer] if lam is None else lam)
+    return GlisterConfig(**settings, lam=raw.get("lambda"))
 
 
 def _data_spec(raw: dict) -> DataSpec:
@@ -438,10 +432,8 @@ def _active_cells(config: ExperimentConfig):
         for seed in config.seeds:
             run_seed = derive_run_seed(seed, strategy, 0)
             pool, val, test, _ = build_datasets(config.data, seed)
-            cfg = replace(config.selection, seed=run_seed, k=config.batch)
-            initial = stratified_random_subset(
-                pool.labels, pool.num_classes, config.initial_labeled, SeededRng(run_seed).split(71)
-            )
+            cfg = replace(config.selection, seed=run_seed)
+            initial = initial_labeled(pool, config.initial_labeled, SeededRng(run_seed).split(71))
             _, state, trace = run_active(
                 strategy, pool, val, test, initial, config.model, cfg,
                 config.rounds, config.batch, config.epochs_per_round, config.filter_mult,

@@ -508,7 +508,7 @@ def active_experiment(seed: int):
 
     Every rare label is irreplaceable here, so acquisition quality shows up
     directly in the final accuracy."""
-    from .active import run_active
+    from .active import initial_labeled, run_active
 
     cfgd = ACTIVE_SETUP
     pool = compose_four_class(cfgd["n_majority"], 260, 100 + seed)
@@ -518,22 +518,10 @@ def active_experiment(seed: int):
     val = compose_four_class(25, 25, 300 + seed)
     test = compose_four_class(50, 50, 400 + seed)
     cfg = GlisterConfig(
-        k=cfgd["batch"], r_frac=0.03, lr=cfgd["lr"], batch_size=cfgd["batch_size"],
-        loss=LossKind.CROSS_ENTROPY, seed=seed,
+        r_frac=0.03, lr=cfgd["lr"], batch_size=cfgd["batch_size"], loss=LossKind.CROSS_ENTROPY, seed=seed
     )
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
-    counts = pool.class_counts()
-    rng = SeededRng(seed).split(71)
-    # proportional seed labels with at least one per class, trimmed to size
-    quota = {c: max(1, round(cfgd["initial"] * counts[c] / counts.sum())) for c in range(4)}
-    while sum(quota.values()) > cfgd["initial"]:
-        big = max(quota, key=lambda c: quota[c])
-        quota[big] -= 1
-    initial = []
-    for c, q in quota.items():
-        rows = np.flatnonzero(pool.labels == c)
-        initial.extend(rng.sample(rows, q).tolist())
-    initial = sorted(initial)
+    initial = initial_labeled(pool, cfgd["initial"], SeededRng(seed).split(71))
     accs = {}
     for strat in ("glister", "random"):
         _, _, trace = run_active(
@@ -613,7 +601,7 @@ def suite_efficiency(seed: int = 0) -> list[Check]:
     sel = []
     for refreshes in (k, r):
         start = time.perf_counter()
-        greedy_dss(train, val, params, replace(cfg, refreshes=refreshes), k=k)
+        greedy_dss(train, val, params, replace(cfg, refreshes=refreshes))
         sel.append(time.perf_counter() - start)
     # an epoch takes milliseconds, so one scheduler stall could swamp a
     # single timing: each epoch counts as the best of epoch_repeats runs
@@ -641,10 +629,14 @@ def suite_efficiency(seed: int = 0) -> list[Check]:
 def strip_timing(csv_text: str) -> str:
     """A trace CSV with the wall-clock cells (wall_s, sel_s) of every row
     below the header replaced by "-", for comparing runs."""
+    from .experiments import TRACE_COLUMNS
+
+    timing = [TRACE_COLUMNS.index(c) for c in ("wall_s", "sel_s")]
     lines = csv_text.splitlines()
     for i in range(1, len(lines)):
         cells = lines[i].split(",")
-        cells[1] = cells[2] = "-"
+        for j in timing:
+            cells[j] = "-"
         lines[i] = ",".join(cells)
     return "\n".join(lines)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from glister.active import PoolState, fass_acquire, random_acquire, run_active
-from glister.core import GlisterConfig, stratified_random_subset
+from glister.active import PoolState, fass_acquire, initial_labeled, random_acquire, run_active
+from glister.core import GlisterConfig
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.models import LossKind, ModelParams, ModelSpec, init_params, sgd_epoch
 from glister.core import init_model_params
@@ -21,34 +21,66 @@ def small_cfg(seed=1):
 
 
 def test_pool_state_invariants_enforced():
-    st = PoolState(labeled=[0, 1], unlabeled=[2, 3, 4])
-    st.check(5)
-    st.acquire([2, 4])
-    st.check(5)
+    st = PoolState(5, [1, 0])
+    st.acquire([4, 2])
     assert st.labeled == [0, 1, 2, 4]
-    assert st.unlabeled == [3]
-    assert st.rounds_completed == 1
+    assert st.unlabeled.tolist() == [3]
+    assert st.batches == [[2, 4]]
+
+
+@pytest.mark.parametrize(
+    "batch", [[1], [2, 2], [-1], [5], [3, 5]], ids=["labeled", "repeated", "negative", "n", "n-in-batch"]
+)
+def test_pool_state_acquire_rejects_bad_rows(batch):
+    st = PoolState(5, [0, 1])
     with pytest.raises(ValueError):
-        st.acquire([2])  # already labeled
+        st.acquire(batch)
+    assert st.labeled == [0, 1]
+    assert st.batches == []
+
+
+@pytest.mark.parametrize(
+    "initial", [lambda n: [-1, 2], lambda n: [0, n], lambda n: [3, 3]], ids=["negative", "n", "repeated"]
+)
+def test_run_active_rejects_bad_initial_labels(pool_data, initial):
+    pool, val, test = pool_data
+    with pytest.raises(ValueError, match="rows must"):
+        run_active("random", pool, val, test, initial(pool.n), ModelSpec("logistic"), small_cfg(), 1, 5, 1)
+
+
+@pytest.mark.parametrize(
+    "counts, n, quota",
+    [
+        ([500, 500, 7, 7], 20, [9, 9, 1, 1]),  # at least one each, trimmed from the largest
+        ([5, 5, 5, 5], 10, [3, 3, 2, 2]),  # 2.5 rounds to 2: topped up to n
+        ([9, 3, 3, 3], 2, [0, 0, 1, 1]),  # fewer labels than classes: ties trim the lowest class first
+    ],
+)
+def test_initial_labeled_quotas(counts, n, quota):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    pool = Dataset(np.zeros((len(labels), 1)), labels, len(counts))
+    picked = initial_labeled(pool, n, SeededRng(4))
+    assert len(set(picked)) == n
+    assert np.bincount(labels[picked], minlength=len(counts)).tolist() == quota
 
 
 def test_random_acquire_basics():
-    st = PoolState(labeled=[0], unlabeled=list(range(1, 21)))
-    assert random_acquire(st, 0, SeededRng(1)) == []
-    a = random_acquire(st, 5, SeededRng(2))
-    b = random_acquire(st, 5, SeededRng(2))
+    unl = np.arange(1, 21)
+    assert random_acquire(unl, 0, SeededRng(1)) == []
+    a = random_acquire(unl, 5, SeededRng(2))
+    b = random_acquire(unl, 5, SeededRng(2))
     assert a == b
-    assert set(a) <= set(st.unlabeled)
+    assert set(a) <= set(unl.tolist())
     with pytest.raises(ValueError):
-        random_acquire(st, 21, SeededRng(3))
+        random_acquire(unl, 21, SeededRng(3))
 
 
 def test_fass_filter_mult_one_is_pure_uncertainty(pool_data):
     pool, _, _ = pool_data
-    st = PoolState(labeled=[], unlabeled=list(range(pool.n)))
+    unl = np.arange(pool.n)
     params = init_params([2, 2], "identity", SeededRng(5))
     batch = 6
-    sel = fass_acquire(pool, st, params, batch, 1.0)
+    sel = fass_acquire(pool, unl, params, batch, 1.0)
     from glister.active import _predictive_entropy
 
     ent = _predictive_entropy(params, pool.features)
@@ -58,21 +90,21 @@ def test_fass_filter_mult_one_is_pure_uncertainty(pool_data):
 
 def test_fass_zero_logit_ties_break_by_index(pool_data):
     pool, _, _ = pool_data
-    st = PoolState(labeled=[], unlabeled=list(range(pool.n)))
+    unl = np.arange(pool.n)
     params = ModelParams(((np.zeros((2, 2)), np.zeros(2)),))
-    sel = fass_acquire(pool, st, params, 4, 1.0)
+    sel = fass_acquire(pool, unl, params, 4, 1.0)
     assert sel == [0, 1, 2, 3]
 
 
 def test_fass_beats_random_coverage(pool_data):
     pool, _, _ = pool_data
-    st = PoolState(labeled=[], unlabeled=list(range(pool.n)))
+    unl = np.arange(pool.n)
     params = init_params([2, 2], "identity", SeededRng(6))
     from glister.models import hypothesized_labels
     from glister.submodular import facility_location
 
     batch, mult = 8, 3.0
-    sel = fass_acquire(pool, st, params, batch, mult)
+    sel = fass_acquire(pool, unl, params, batch, mult)
     from glister.active import _predictive_entropy
 
     ent = _predictive_entropy(params, pool.features)
@@ -92,21 +124,23 @@ def test_fass_beats_random_coverage(pool_data):
 
 def test_active_batches_disjoint_and_partition(pool_data):
     pool, val, test = pool_data
-    init = stratified_random_subset(pool.labels, pool.num_classes, 10, SeededRng(3))
+    init = initial_labeled(pool, 10, SeededRng(3))
     spec = ModelSpec("logistic")
     _, state, trace = run_active(
         "glister", pool, val, test, init, spec, small_cfg(), rounds=4, batch=10,
         epochs_per_round=5,
     )
-    state.check(pool.n)
     flat = [i for b in state.batches for i in b]
     assert len(flat) == len(set(flat)) == 40
+    # the seed labels and the batches are exactly the labeled rows
+    assert sorted(init + flat) == state.labeled == np.flatnonzero(state.mask).tolist()
+    assert state.unlabeled.tolist() == sorted(set(range(pool.n)) - set(state.labeled))
     assert [r.labeled_count for r in trace.rounds] == [20, 30, 40, 50]
 
 
 def test_active_deterministic(pool_data):
     pool, val, test = pool_data
-    init = stratified_random_subset(pool.labels, pool.num_classes, 10, SeededRng(3))
+    init = initial_labeled(pool, 10, SeededRng(3))
     spec = ModelSpec("logistic")
     runs = [
         run_active("glister", pool, val, test, init, spec, small_cfg(), 3, 10, 5)
@@ -118,7 +152,7 @@ def test_active_deterministic(pool_data):
 
 def test_active_acquire_all_equals_warm_start_then_full_train(pool_data):
     pool, val, test = pool_data
-    init = stratified_random_subset(pool.labels, pool.num_classes, 10, SeededRng(3))
+    init = initial_labeled(pool, 10, SeededRng(3))
     spec = ModelSpec("logistic")
     cfg = small_cfg(7)
     epochs = 6
@@ -175,7 +209,7 @@ def test_active_never_reads_unlabeled_truth_before_reveal(pool_data):
     tainted = _TaintedLabels(np.asarray(pool.labels))
     shadow = Dataset(pool.features, pool.labels, pool.num_classes)
     object.__setattr__(shadow, "labels", tainted)
-    init = stratified_random_subset(pool.labels, pool.num_classes, 10, SeededRng(3))
+    init = initial_labeled(pool, 10, SeededRng(3))
     spec = ModelSpec("logistic")
     _, state, _ = run_active("glister", shadow, val, test, init, spec, small_cfg(), 3, 10, 4)
     allowed = set(state.labeled)  # everything read must have been revealed

@@ -20,6 +20,7 @@ from glister.core import (
 )
 from glister.core import EpochRecord, RunTrace
 from glister.data import SplitSpec, gen_synthetic, split
+from glister.experiments import glister_config
 from glister.models import (
     LossKind,
     ModelSpec,
@@ -447,6 +448,16 @@ def test_monitor_requires_selection_records():
 def test_subset_digest_order_invariant():
     assert subset_digest([3, 1, 2]) == subset_digest([1, 2, 3])
     assert subset_digest([1, 2]) != subset_digest([1, 3])
+
+
+@pytest.mark.parametrize(
+    "regularizer, lam", [("none", 0.0), ("random", 0.9), ("facility_location", 100.0), ("diversity", 1.0)]
+)
+def test_lambda_defaults_to_its_regularizers(regularizer, lam):
+    assert GlisterConfig(regularizer=regularizer).lam == lam
+    assert glister_config({"regularizer": regularizer}).lam == lam
+    assert glister_config({"regularizer": regularizer, "lambda": None}).lam == lam
+    assert GlisterConfig(regularizer=regularizer, lam=0.5).lam == 0.5
 
 
 def test_config_validation():

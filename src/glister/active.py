@@ -85,7 +85,9 @@ def initial_labeled(pool: Dataset, n: int, rng: SeededRng) -> list[int]:
     """`n` seed labels, drawn class by class from the one stream `rng`: each
     class gets its rounded proportional share of the pool, at least one, then
     the largest quota loses or the class furthest below its exact share gains
-    one label at a time until the total is `n`."""
+    one label at a time until the total is `n`, which must cover every class."""
+    if n < pool.num_classes:
+        raise ValueError(f"{n} seed labels cannot cover {pool.num_classes} classes")
     counts = pool.class_counts()
     exact = n * counts / counts.sum()
     quota = {c: max(1, round(exact[c])) for c in range(pool.num_classes)}

@@ -44,7 +44,8 @@ from .models import (
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
 from .submodular import (
-    GREEDY_VARIANTS, SetFunctionOracle, _ModularMinusCut, facility_location, greedy_pick,
+    GREEDY_VARIANTS, SetFunctionOracle, _ConcaveOverModular, _ModularMinusCut, facility_location,
+    greedy_pick,
 )
 
 __all__ = [
@@ -82,7 +83,8 @@ class GlisterConfig:
     integer >= 1, or `r_frac` in (0, 1], default 0.03) sets how many times
     the validation gradient is recomputed exactly; between refreshes stale
     scores pick k/r elements per round.  `eta` defaults to the optimizer
-    learning rate, and `lam` the regularizer's default (`_LAMBDA_DEFAULTS`).
+    learning rate, and a `lam` of None the regularizer's default
+    (`resolve_lam`).
     """
 
     k: int | None = None
@@ -105,8 +107,6 @@ class GlisterConfig:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.greedy not in GREEDY_VARIANTS:
             raise ValueError(f"unknown greedy variant {self.greedy!r}")
-        if self.lam is None:
-            object.__setattr__(self, "lam", _LAMBDA_DEFAULTS[self.regularizer])
         for name in ("select_every", "batch_size", "refreshes"):
             value = getattr(self, name)
             if value is None and name == "refreshes":
@@ -117,15 +117,16 @@ class GlisterConfig:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("r_frac", "eta", "lr", "lam", "epsilon"):
             value = getattr(self, name)
-            if value is None and name in ("r_frac", "eta"):
+            if value is None and name in ("r_frac", "eta", "lam"):
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number")
         if self.r_frac is not None and not 0.0 < self.r_frac <= 1.0:
             raise ValueError("r_frac must lie in (0, 1]")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        lam = self.resolve_lam()
+        if not (math.isfinite(lam) and lam >= 0):
             raise ValueError("lambda must be finite and nonnegative")
-        if self.regularizer == "random" and self.lam > 1:
+        if self.regularizer == "random" and lam > 1:
             raise ValueError("random regularizer needs lambda in [0, 1]")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -133,6 +134,9 @@ class GlisterConfig:
             raise ValueError("lr must be finite and > 0")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
+
+    def resolve_lam(self) -> float:
+        return _LAMBDA_DEFAULTS[self.regularizer] if self.lam is None else self.lam
 
     def resolve_k(self, n: int) -> int:
         if (self.k is None) == (self.budget_frac is None):
@@ -287,54 +291,6 @@ def _augmented_last_inputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
 
 
-class _ConcaveOverModularProxy(SetFunctionOracle):
-    """sum_i softcap(C_i + sum_{j in S} g_ij) style proxies with nonnegative
-    g, vectorized over candidates."""
-
-    def __init__(self, g: np.ndarray, term_fn, labels=None):
-        super().__init__(g.shape[1], monotone=True, labels=labels)
-        self._g = g  # (m_val, n_ground), nonnegative
-        self._term = term_fn  # maps modular sums (m,...) -> per-i terms
-
-    def _sums(self, subset) -> np.ndarray:
-        s = np.asarray(list(subset), dtype=np.int64)
-        if s.size == 0:
-            return np.zeros(self._g.shape[0])
-        return self._g[:, s].sum(axis=1)
-
-    def value(self, subset) -> float:
-        return float(self._term(self._sums(subset)).sum())
-
-    def marginals(self, candidates, subset) -> np.ndarray:
-        cand = np.asarray(list(candidates), dtype=np.int64)
-        su = self._sums(subset)
-        base = self._term(su).sum()
-        vals = self._term(su[:, None] + self._g[:, cand]).sum(axis=0)
-        return vals - base
-
-
-class _CrossEntropyProxy(SetFunctionOracle):
-    """Modular bonus minus a per-validation-point log-sum-exp of shifted
-    modular sums; monotone and beta-weakly submodular."""
-
-    def __init__(self, g1: np.ndarray, g2: np.ndarray, log_c: np.ndarray, alpha: float, labels=None):
-        super().__init__(g1.shape[1], monotone=True, labels=labels)
-        self._g1 = g1  # (m, n, C) shifted >= 1
-        self._g2 = g2  # (m, n) modular weights >= 0
-        self._log_c = log_c  # (m, C)
-        self._alpha = alpha
-
-    def value(self, subset) -> float:
-        s = np.asarray(list(subset), dtype=np.int64)
-        if s.size == 0:
-            inner = self._log_c
-            mod = 0.0
-        else:
-            inner = self._log_c - self._alpha * self._g1[:, s, :].sum(axis=1)
-            mod = self._alpha * self._g2[:, s].sum()
-        return float(mod - log_sum_exp_rows(inner).sum())
-
-
 def taylor_proxy(
     params: ModelParams,
     train: Dataset,
@@ -358,10 +314,15 @@ def taylor_proxy(
         kernel = xv @ xt.T  # (m, n): augmented inner products
         g = kernel[:, :, None] * p[None, :, :]  # g[i, j, c]
         g_min = float(g.min())
-        g1 = g - g_min + 1.0
-        g2 = g.max() - g[np.arange(val.n)[:, None], np.arange(train.n)[None, :], val.labels[:, None]]
-        log_c = zv + k * (g_min - 1.0)
-        return _CrossEntropyProxy(g1, g2, log_c, eta, labels=train.labels)
+        g_true = g[np.arange(val.n)[:, None], np.arange(train.n)[None, :], val.labels[:, None]]
+        # C shifted sums >= 1 per class, then a modular bonus >= 0
+        stacked = np.concatenate([g - g_min + 1.0, (g.max() - g_true)[:, :, None]], axis=2)
+        log_c = (zv + k * (g_min - 1.0))[:, None]
+
+        def term(sums):
+            return eta * sums[..., -1] - log_sum_exp_rows(log_c - eta * sums[..., :-1])
+
+        return _ConcaveOverModular(stacked, term, labels=train.labels)
 
     g_train = last_layer_per_sample_grads(params, train.features, train.labels, kind)
     s_val = 2.0 * val.labels.astype(np.float64) - 1.0
@@ -379,24 +340,22 @@ def taylor_proxy(
     gp = g - g_min
     f_val = zv[:, 0]
     if kind == LossKind.LOGISTIC:
-        log_c = -s_val * f_val - eta * k * g_min  # log C_i
+        log_c = (-s_val * f_val - eta * k * g_min)[:, None]  # log C_i
         l_max = float(np.logaddexp(0.0, log_c).max())
 
         def term(sums):
-            shape = [len(log_c)] + [1] * (np.ndim(sums) - 1)
-            return l_max - np.logaddexp(0.0, log_c.reshape(shape) - eta * sums)
+            return l_max - np.logaddexp(0.0, log_c - eta * sums)
 
-        return _ConcaveOverModularProxy(gp, term, labels=train.labels)
-    if kind in (LossKind.HINGE, LossKind.PERCEPTRON):
+    elif kind in (LossKind.HINGE, LossKind.PERCEPTRON):
         c = (s_val * f_val - 1.0) if kind == LossKind.HINGE else s_val * f_val
-        c_shift = c + eta * k * g_min
+        c_shift = (c + eta * k * g_min)[:, None]
 
         def term(sums):
-            shape = [len(c_shift)] + [1] * (np.ndim(sums) - 1)
-            return np.minimum(0.0, c_shift.reshape(shape) + eta * sums)
+            return np.minimum(0.0, c_shift + eta * sums)
 
-        return _ConcaveOverModularProxy(gp, term, labels=train.labels)
-    raise ValueError(f"unknown loss kind {kind}")
+    else:
+        raise ValueError(f"unknown loss kind {kind}")
+    return _ConcaveOverModular(gp, term, labels=train.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +383,10 @@ def greedy_dss(
     k_total = cfg.resolve_k(n_cand)
     rng = SeededRng(cfg.seed).split(_SELECT_STREAM) if rng is None else rng
     eta = cfg.lr if cfg.eta is None else cfg.eta
+    lam = cfg.resolve_lam()
 
     # random mixing mode: lam is the share picked by gain, the rest uniform random
-    k_gain = int(round(cfg.lam * k_total)) if cfg.regularizer == "random" else k_total
+    k_gain = int(round(lam * k_total)) if cfg.regularizer == "random" else k_total
     k_rand = k_total - k_gain
 
     # the regularizer marginal of each pool entry given the picks
@@ -445,7 +405,7 @@ def greedy_dss(
 
     def score(pool):
         gains = _taylor_gains(state, pool)
-        return gains if regularizer is None else gains + cfg.lam * regularizer(pool, order)
+        return gains if regularizer is None else gains + lam * regularizer(pool, order)
 
     if k_gain > 0:
         # the random mixing mode leaves only k_gain picks to spread over rounds

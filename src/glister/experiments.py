@@ -313,6 +313,15 @@ def _parse(raw, active: bool) -> ExperimentConfig:
         output_width(selection.loss, classes)  # a margin loss needs two classes
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid selection settings: {exc}") from None
+    if active and loop.get("initial_labeled", ExperimentConfig.initial_labeled) < classes:
+        raise ConfigError(f"initial_labeled must cover the {classes} classes")
+    if not active:
+        n_train = min(_train_rows(data, classes, seed) for seed in seeds)
+        for budget in loop.get("budgets", ()):
+            try:
+                replace(selection, budget_frac=budget).resolve_k(n_train)
+            except ValueError as exc:
+                raise ConfigError(f"budgets: {exc}") from None
     return ExperimentConfig(output_dir, strategies, seeds, data, model, selection, **loop)
 
 
@@ -322,6 +331,38 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def load_active_config(path) -> ExperimentConfig:
     return _parse(json.loads(Path(path).read_text()), active=True)
+
+
+def _corrupt(train: Dataset, data: DataSpec, seed: int) -> Dataset:
+    """The train part of config seed `seed` after its label noise and class
+    imbalance."""
+    if data.noise is not None:
+        rate, noise_seed = data.noise
+        train = inject_label_noise(train, rate, seed if noise_seed is None else noise_seed)
+    if data.imbalance is not None:
+        affected_frac, keep_frac, imb_seed = data.imbalance
+        train = inject_class_imbalance(
+            train, affected_frac, keep_frac, seed if imb_seed is None else imb_seed
+        )
+    return train
+
+
+def _train_rows(data: DataSpec, classes: int, seed: int) -> int:
+    """The train rows `build_datasets(data, seed)` gives, from the labels
+    alone: corruption reads only labels, and generated rows come class by
+    class."""
+    if isinstance(data.source, tuple):
+        labels = data.source[0].labels
+    else:
+        shifted = data.source in _SHIFTED  # the full base set trains
+        per_class = data.n_per_class if shifted else split_sizes(data.n_per_class, data.split)[0]
+        labels = np.repeat(np.arange(classes), per_class)
+    if data.imbalance is None:
+        return len(labels)  # label noise keeps every row
+    try:
+        return _corrupt(Dataset(np.zeros((len(labels), 0)), labels, classes), data, seed).n
+    except ValueError as exc:
+        raise ConfigError(f"invalid corruption: {exc}") from None
 
 
 def build_datasets(data: DataSpec, seed: int):
@@ -340,14 +381,7 @@ def build_datasets(data: DataSpec, seed: int):
             _, test = gen_synthetic(data.source, max(data.n_per_class // 4, 2), gen_seed + 1)
         else:
             train, val, test = split(out, data.split)
-    if data.noise is not None:
-        rate, noise_seed = data.noise
-        train = inject_label_noise(train, rate, seed if noise_seed is None else noise_seed)
-    if data.imbalance is not None:
-        affected_frac, keep_frac, imb_seed = data.imbalance
-        train = inject_class_imbalance(
-            train, affected_frac, keep_frac, seed if imb_seed is None else imb_seed
-        )
+    train = _corrupt(train, data, seed)
     max_norm = float(np.sqrt((train.features**2).sum(axis=1)).max())
     if data.standardize:
         train, (val, test), stats = standardize(train, (val, test))

@@ -132,10 +132,10 @@ def log_sum_exp(v: np.ndarray) -> float:
 
 
 def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise max-shifted log-sum-exp for a 2-D array."""
+    """Max-shifted log-sum-exp over the last axis (the rows of a 2-D array)."""
     m = np.asarray(m, dtype=np.float64)
-    shift = m.max(axis=1, keepdims=True)
-    return (shift + np.log(np.exp(m - shift).sum(axis=1, keepdims=True)))[:, 0]
+    shift = m.max(axis=-1, keepdims=True)
+    return (shift + np.log(np.exp(m - shift).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:

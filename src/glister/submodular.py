@@ -380,77 +380,6 @@ def cross_facility_location(
     )
 
 
-class _NbFeature(SetFunctionOracle):
-    """Feature-based concave-over-modular objective: sum over (feature,
-    value, class) cells of the validation count times log of the selected
-    count.  An empty cell contributes weight * log(eps_smooth)."""
-
-    EPS_SMOOTH = 1e-2
-
-    def __init__(self, train_codes: np.ndarray, train_labels: np.ndarray, weights: dict):
-        super().__init__(train_codes.shape[0], monotone=True,
-                         labels=train_labels)
-        # cell key per (row, feature): feature-major code combining value & class
-        self._codes = train_codes
-        self._weights = weights
-
-    def _counts(self, subset) -> dict[int, int]:
-        """Selected rows per cell."""
-        subset = list(subset)
-        if not subset:
-            return {}
-        cells, freq = np.unique(self._codes[subset].ravel(), return_counts=True)
-        return dict(zip(cells.tolist(), freq.tolist()))
-
-    def value(self, subset) -> float:
-        counts = self._counts(subset)
-        total = 0.0
-        for cell, w in self._weights.items():
-            m = counts.get(cell, 0)
-            total += w * (math.log(m) if m > 0 else math.log(self.EPS_SMOOTH))
-        return total
-
-    def marginals(self, candidates, subset) -> np.ndarray:
-        counts = self._counts(subset)
-        out = np.zeros(len(candidates))
-        for ci, e in enumerate(candidates):
-            gain = 0.0
-            for cell in self._codes[e]:
-                w = self._weights.get(int(cell))
-                if w is None:
-                    continue
-                m = counts.get(int(cell), 0)
-                if m == 0:
-                    gain += w * (0.0 - math.log(self.EPS_SMOOTH))
-                else:
-                    gain += w * (math.log(m + 1) - math.log(m))
-            out[ci] = gain
-        return out
-
-
-def nb_feature_function(train: Dataset, val: Dataset) -> SetFunctionOracle:
-    """Naive-Bayes-style feature coverage of the validation cell counts by
-    the selected training rows.  Features must already be discretized (see
-    `data.discretize_features`)."""
-    if val.n == 0:
-        raise ValueError("empty validation set")
-    t_vals = train.features.astype(np.int64)
-    v_vals = val.features.astype(np.int64)
-    n_vals = int(max(t_vals.max(initial=0), v_vals.max(initial=0))) + 1
-    n_classes = max(train.num_classes, val.num_classes)
-
-    def encode(vals: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        d = vals.shape[1]
-        feat_ids = np.arange(d)[None, :]
-        return (feat_ids * n_vals + vals) * n_classes + labels[:, None]
-
-    train_codes = encode(t_vals, train.labels)
-    val_codes = encode(v_vals, val.labels)
-    cells, freq = np.unique(val_codes.ravel(), return_counts=True)
-    weights = dict(zip(cells.tolist(), freq.astype(np.float64).tolist()))
-    return _NbFeature(train_codes, train.labels, weights)
-
-
 def kmeans(points: np.ndarray, k: int, rng: SeededRng, iters: int = 25):
     """Seeded k-means with k-means++ init; returns (centroids, assignment)."""
     points = np.asarray(points, dtype=np.float64)
@@ -482,6 +411,70 @@ def kmeans(points: np.ndarray, k: int, rng: SeededRng, iters: int = 25):
             if len(members):
                 centroids[c] = members.mean(axis=0)
     return centroids, assign
+
+
+class _ConcaveOverModular(SetFunctionOracle):
+    """f(S) = sum_i w_i term(s_i(S)) over the modular sums s_i(S) = sum_{j in
+    S} g[i, j] of a nonnegative g of shape (m, n, ...); trailing axes give
+    each i several sums.  `term` maps sums of shape (m, j, ...) to (m, j),
+    one column per set, and is concave and nondecreasing in the sums; with
+    weights w >= 0 (default 1), f is monotone, and submodular when each i
+    has one sum.
+
+    A marginal sums w_i times the per-i differences of terms, so an i that
+    the candidate does not touch adds exactly 0 and equal gains stay equal."""
+
+    def __init__(self, g: np.ndarray, term, weights=None, labels=None):
+        super().__init__(g.shape[1], monotone=True, labels=labels)
+        self._g = g
+        self._term = term
+        self._w = np.ones((g.shape[0], 1)) if weights is None else np.asarray(weights)[:, None]
+
+    def _sums(self, subset) -> np.ndarray:
+        s = np.asarray(list(subset), dtype=np.int64)
+        if s.size == 0:
+            return np.zeros((self._g.shape[0],) + self._g.shape[2:])
+        return self._g[:, s].sum(axis=1)
+
+    def value(self, subset) -> float:
+        return float((self._w * self._term(self._sums(subset)[:, None])).sum())
+
+    def marginals(self, candidates, subset) -> np.ndarray:
+        cand = np.asarray(list(candidates), dtype=np.int64)
+        su = self._sums(subset)[:, None]
+        return (self._w * (self._term(su + self._g[:, cand]) - self._term(su))).sum(axis=0)
+
+
+def nb_feature_function(train: Dataset, val: Dataset) -> SetFunctionOracle:
+    """Naive-Bayes-style feature coverage of the validation cell counts by
+    the selected training rows: the sum over (feature, value, class) cells
+    of the validation count times the log of the selected count, where an
+    empty cell counts as 1e-2.  Features must already be discretized (see
+    `data.discretize_features`)."""
+    if val.n == 0:
+        raise ValueError("empty validation set")
+    t_vals = train.features.astype(np.int64)
+    v_vals = val.features.astype(np.int64)
+    n_vals = int(max(t_vals.max(initial=0), v_vals.max(initial=0))) + 1
+    n_classes = max(train.num_classes, val.num_classes)
+
+    def encode(vals: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        d = vals.shape[1]
+        feat_ids = np.arange(d)[None, :]
+        return (feat_ids * n_vals + vals) * n_classes + labels[:, None]
+
+    train_codes = encode(t_vals, train.labels)
+    cells, freq = np.unique(encode(v_vals, val.labels), return_counts=True)
+    # 0/1 incidence of the validation cells (rows) in the train rows (columns)
+    at = np.searchsorted(cells, train_codes).clip(max=len(cells) - 1)
+    hit = cells[at] == train_codes
+    incidence = np.zeros((len(cells), train.n))
+    incidence[at[hit], np.nonzero(hit)[0]] = 1.0
+
+    def term(counts):
+        return np.log(np.maximum(counts, 1e-2))
+
+    return _ConcaveOverModular(incidence, term, freq.astype(np.float64), train.labels)
 
 
 class _ModularMinusCut(SetFunctionOracle):

@@ -70,6 +70,7 @@ __all__ = [
     "suite_efficiency",
     "strip_timing",
     "compose_four_class",
+    "worst_dr_violation",
 ]
 
 
@@ -216,7 +217,7 @@ def _proxy_instance(seed: int, n_per_class: int, kind: LossKind, eta=0.05, k=8):
     return taylor_proxy(params, train, val, kind, eta, k), train, val, params
 
 
-def _sample_dr_triples(f, trials: int, rng: SeededRng) -> float:
+def worst_dr_violation(f, trials: int, rng: SeededRng) -> float:
     """Worst diminishing-returns violation over sampled X subset-of Y, e."""
     worst = 0.0
     for _ in range(trials):
@@ -238,7 +239,7 @@ def suite_submodularity(seed: int = 0) -> list[Check]:
     start = time.perf_counter()
     for kind in (LossKind.LOGISTIC, LossKind.HINGE, LossKind.PERCEPTRON):
         f, *_ = _proxy_instance(seed + 40, 40, kind)  # 60 training points
-        worst = _sample_dr_triples(f, 200, SeededRng(seed + 7))
+        worst = worst_dr_violation(f, 200, SeededRng(seed + 7))
         checks.append(
             Check(f"{kind.value} proxy diminishing returns (200 triples)",
                   worst >= -1e-9, f"worst violation {worst:.2e}")

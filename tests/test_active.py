@@ -53,7 +53,6 @@ def test_run_active_rejects_bad_initial_labels(pool_data, initial):
     [
         ([500, 500, 7, 7], 20, [9, 9, 1, 1]),  # at least one each, trimmed from the largest
         ([5, 5, 5, 5], 10, [3, 3, 2, 2]),  # 2.5 rounds to 2: topped up to n
-        ([9, 3, 3, 3], 2, [0, 0, 1, 1]),  # fewer labels than classes: ties trim the lowest class first
     ],
 )
 def test_initial_labeled_quotas(counts, n, quota):
@@ -62,6 +61,14 @@ def test_initial_labeled_quotas(counts, n, quota):
     picked = initial_labeled(pool, n, SeededRng(4))
     assert len(set(picked)) == n
     assert np.bincount(labels[picked], minlength=len(counts)).tolist() == quota
+
+
+def test_initial_labeled_rejects_fewer_labels_than_classes():
+    labels = np.repeat(np.arange(4), [9, 3, 3, 3])
+    pool = Dataset(np.zeros((len(labels), 1)), labels, 4)
+    with pytest.raises(ValueError, match="cannot cover 4 classes"):
+        initial_labeled(pool, 3, SeededRng(4))
+    assert len(initial_labeled(pool, 4, SeededRng(4))) == 4
 
 
 def test_random_acquire_basics():

@@ -209,6 +209,13 @@ def test_bad_budget_rejected(tmp_path):
         {"budgets": 0.3},
         {"strategies": {"glister": 1}},
         pytest.param({"budgets": [0.3, 0.301]}, id="budgets-same-tag"),
+        # 80 train rows: k = round(0.08) = 0
+        pytest.param({"budgets": [0.001]}, id="budget-k-0"),
+        # one class keeps ceil(0.1 * 40) = 4 of its 40 rows: k = round(0.44) = 0
+        pytest.param(
+            {"budgets": [0.3, 0.01], "corruption": {"imbalance": {"affected_frac": 0.3, "keep_frac": 0.1}}},
+            id="budget-k-0-after-imbalance",
+        ),
         *BAD_MODELS,
         *BAD_DATA,
         *BAD_SELECTION,
@@ -351,6 +358,8 @@ def test_active_cli(tmp_path):
         {"strategies": {"fass": 1}},
         pytest.param({"strategies": ["fass"], "filter_mult": 0.5}, id="filter_mult=0.5"),
         pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
+        pytest.param({"dataset": {**_DATASET, "name": "overlapping-4"}, "initial_labeled": 3},
+                     id="initial_labeled-below-4-classes"),
         *BAD_MODELS,
         *BAD_DATA,
         *BAD_SELECTION,
@@ -412,6 +421,15 @@ def test_libsvm_config_path(tmp_path):
         epochs=3,
     )
     assert cmd_run(str(path)) == 0
+
+
+def test_libsvm_zero_budget_exits_2_before_output(tmp_path):
+    data_path = tmp_path / "toy.libsvm"
+    data_path.write_text("\n".join(f"{i % 2} 1:{i}" for i in range(40)))
+    # the default split trains on 32 of the 40 rows: k = round(0.32) = 0
+    path, cfg = base_config(tmp_path, dataset={"kind": "libsvm", "path": str(data_path)}, budgets=[0.01])
+    assert cmd_run(str(path)) == 2
+    assert not Path(cfg["output_dir"]).exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from glister.models import (
     sgd_epoch,
 )
 from glister.numerics import SeededRng
-from glister.submodular import _top_ranked, exhaustive_max, from_callable
+from glister.submodular import (
+    SetFunctionOracle, _top_ranked, exhaustive_max, from_callable, lazy_greedy, naive_greedy,
+)
 
 
 def last_layer_grad_sum(params, x, y, kind):
@@ -205,6 +208,25 @@ def test_proxy_marginal_chain_diminishing(blob_data):
             remaining.remove(best)
         assert all(ordered[i] >= ordered[i + 1] - 1e-9 for i in range(len(ordered) - 1))
         break  # the greedy chain is deterministic; one pass suffices
+
+
+@pytest.mark.parametrize("name", ["separable-2", "overlapping-4"])
+def test_cross_entropy_proxy_marginals(name):
+    """Vectorized marginals match value differences and are all positive
+    (the oracle is monotone); greedy agrees with lazy greedy."""
+    full = gen_synthetic(name, 40, seed=3)
+    train, val, _ = split(full, SplitSpec(0.75, 0.125, 0.125, seed=1))
+    params = init_params([2, full.num_classes], "identity", SeededRng(13))
+    f = taylor_proxy(params, train, val, LossKind.CROSS_ENTROPY, 0.05, 8)
+    assert f.monotone
+    rng = SeededRng(5)
+    cand = np.arange(f.n)
+    for size in (0, 1, 4, 8):
+        s = [int(v) for v in rng.choice_no_replace(f.n, size)]
+        got = f.marginals(cand, s)
+        assert np.all(got > 0)
+        np.testing.assert_allclose(got, SetFunctionOracle.marginals(f, cand, s), rtol=1e-9, atol=0)
+    assert naive_greedy(f, 5) == list(lazy_greedy(f, 5))
 
 
 def test_greedy_dss_r1_is_topk_taylor(blob_data):
@@ -454,10 +476,19 @@ def test_subset_digest_order_invariant():
     "regularizer, lam", [("none", 0.0), ("random", 0.9), ("facility_location", 100.0), ("diversity", 1.0)]
 )
 def test_lambda_defaults_to_its_regularizers(regularizer, lam):
-    assert GlisterConfig(regularizer=regularizer).lam == lam
-    assert glister_config({"regularizer": regularizer}).lam == lam
-    assert glister_config({"regularizer": regularizer, "lambda": None}).lam == lam
-    assert GlisterConfig(regularizer=regularizer, lam=0.5).lam == 0.5
+    assert GlisterConfig(regularizer=regularizer).resolve_lam() == lam
+    assert glister_config({"regularizer": regularizer}).resolve_lam() == lam
+    assert glister_config({"regularizer": regularizer, "lambda": None}).resolve_lam() == lam
+    assert GlisterConfig(regularizer=regularizer, lam=0.5).resolve_lam() == 0.5
+
+
+def test_replace_takes_the_new_regularizers_lambda():
+    # a default lambda follows the regularizer; a given one stays
+    assert replace(GlisterConfig(), regularizer="random").resolve_lam() == 0.9
+    assert replace(GlisterConfig(regularizer="random"), regularizer="none").resolve_lam() == 0.0
+    assert replace(GlisterConfig(lam=0.5), regularizer="random").resolve_lam() == 0.5
+    with pytest.raises(ValueError, match="lambda in"):
+        replace(GlisterConfig(lam=2.0), regularizer="random")
 
 
 def test_config_validation():

@@ -483,6 +483,30 @@ def test_monotone_oracles_nonnegative_marginals():
             assert f.marginal(e, s) >= -1e-9
 
 
+def _demo_nb_instance():
+    full = gen_synthetic("separable-2", 40, seed=3)
+    train, val, _ = split(full, SplitSpec(0.75, 0.125, 0.125, seed=1))
+    return nb_feature_function(*discretize_features(train, (val,), bins=8))
+
+
+def test_nb_marginals_match_value_differences():
+    rng = SeededRng(3)
+    f = _demo_nb_instance()
+    cand = np.arange(f.n)
+    for size in (0, 1, 5, 12):
+        s = [int(v) for v in rng.choice_no_replace(f.n, size)]
+        got = f.marginals(cand, s)
+        np.testing.assert_allclose(got, SetFunctionOracle.marginals(f, cand, s), rtol=1e-9, atol=0)
+
+
+def test_nb_greedy_keeps_exact_ties():
+    # rows 1 and 2 tie exactly at the first step; the tie goes to the lower index
+    f = _demo_nb_instance()
+    gains = f.marginals([1, 2], [])
+    assert gains[0] == gains[1]
+    assert naive_greedy(f, 5) == [1, 2, 30, 34, 33]
+
+
 def test_nb_empty_set_value_is_smoothing_floor():
     full = gen_synthetic("separable-2", 20, seed=7)
     train, val, _ = split(full, SplitSpec(0.5, 0.25, 0.25, seed=1))

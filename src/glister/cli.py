@@ -47,19 +47,32 @@ def cmd_active(config_path: str) -> int:
     return _run_config(config_path, load_active_config, run_active_experiment, "active runs")
 
 
-def cmd_verify(suite: str, seed: int = 0) -> int:
+def cmd_verify(suite: str, seed: int = 0, as_json: bool = False) -> int:
+    """Run a suite and print each check, as text or (`as_json`) as one JSON
+    object of the checks and each suite's seconds; exit 0 if all pass."""
     try:
-        checks, ok = run_suite(suite, seed)
+        runs, ok = run_suite(suite, seed)
     except KeyError as exc:
         if exc.args != (suite,):  # a fault inside a suite, not its name
             raise
         print(f"unknown suite {suite!r}; choose from {['all', *SUITES]}", file=sys.stderr)
         return 2
-    width = max(len(c.name) for c in checks)
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name:<{width}}  {c.detail}")
-    print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
+    if as_json:
+        print(json.dumps({
+            "passed": ok,
+            "seconds": {name: round(s, 3) for name, _, s in runs},
+            "checks": [
+                {"suite": name, "name": c.name, "passed": c.passed, "detail": c.detail}
+                for name, checks, _ in runs for c in checks
+            ],
+        }, indent=1))
+    else:
+        checks = [c for _, suite_checks, _ in runs for c in suite_checks]
+        width = max(len(c.name) for c in checks)
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"[{status}] {c.name:<{width}}  {c.detail}")
+        print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return 0 if ok else 1
 
 
@@ -76,6 +89,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run a property/oracle suite")
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--json", action="store_true", help="print one JSON object")
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -83,7 +97,7 @@ def main(argv=None) -> int:
     if args.command == "active":
         return cmd_active(args.config)
     if args.command == "verify":
-        return cmd_verify(args.suite, args.seed)
+        return cmd_verify(args.suite, args.seed, args.json)
     parser.error(f"unknown command {args.command}")
     return 2
 

@@ -236,14 +236,24 @@ def taylor_gain(state: GainState, e: int) -> float:
 
 def _taylor_gains(state: GainState, positions: np.ndarray) -> np.ndarray:
     """eta * (candidate row . validation gradient) for each position, with the
-    row kept in its factors h and delta."""
+    row kept in its factors h and delta.
+
+    A pool of at least half the rows (every naive and randomized GreedyDSS
+    round) projects every row and indexes the (n, C) product: gathering
+    `hidden[positions]` first costs as much as the product.  Smaller pools
+    (stochastic samples, a single row) gather: projecting all rows would
+    cost more than the copy saves, and for a few rows BLAS takes another
+    kernel whose last bits differ."""
     v = state.val_grad_at_lookahead
     if v is None:
         raise ValueError("state has never been refreshed")
     n_w = state.hidden.shape[1] * state.logit_grads.shape[1]
     v_w = v[:n_w].reshape(state.hidden.shape[1], -1)
     delta = state.logit_grads[positions]
-    hv = state.hidden[positions] @ v_w
+    if 2 * len(positions) >= len(state.hidden):
+        hv = (state.hidden @ v_w)[positions]
+    else:
+        hv = state.hidden[positions] @ v_w
     return -state.eta * (np.einsum("ij,ij->i", hv, delta) + delta @ v[n_w:])
 
 

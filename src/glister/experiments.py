@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -421,14 +422,22 @@ def run_cell(
 
 def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
     """Write each cell's trace file as the cell finishes, then summary.json
-    with one row per cell; returns the rows."""
+    with one row per cell; returns the rows.  summary.json is written to a
+    temp file that then replaces it, so a failed write leaves the previous
+    summary whole."""
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for trace_file, csv_text, row in cells:
         (out_dir / trace_file).write_text(csv_text)
         summary.append({**row, "trace_file": trace_file})
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    tmp = out_dir / "summary.json.tmp"
+    try:
+        with tmp.open("w") as f:
+            json.dump(summary, f, indent=2)
+        os.replace(tmp, out_dir / "summary.json")
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the rename is done
     return summary
 
 

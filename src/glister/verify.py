@@ -693,9 +693,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> tuple[list[Check], bool]:
-    """The checks of suite `name` ("all" runs every suite in criterion
-    order) and whether all passed; raises KeyError for an unknown name."""
-    suites = SUITES.values() if name == "all" else [SUITES[name]]
-    checks = [c for suite in suites for c in suite(seed)]
-    return checks, all(c.passed for c in checks)
+def run_suite(name: str, seed: int = 0) -> tuple[list[tuple[str, list[Check], float]], bool]:
+    """(suite name, its checks, its seconds) for suite `name` ("all" runs
+    every suite in criterion order) and whether all checks passed; raises
+    KeyError for an unknown name."""
+    suites = SUITES if name == "all" else {name: SUITES[name]}
+    runs = []
+    for n, suite in suites.items():
+        start = time.perf_counter()
+        checks = suite(seed)
+        runs.append((n, checks, time.perf_counter() - start))
+    return runs, all(c.passed for _, checks, _ in runs for c in checks)

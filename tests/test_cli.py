@@ -1,3 +1,4 @@
+import errno
 import json
 from pathlib import Path
 
@@ -151,6 +152,40 @@ def test_run_summary_roundtrip(tmp_path):
     out = Path(cfg["output_dir"])
     text = (out / "summary.json").read_text()
     assert json.loads(json.dumps(json.loads(text))) == json.loads(text)
+
+
+def test_failed_summary_write_keeps_previous_summary(tmp_path, monkeypatch):
+    """A summary write that fails part way (here a full disk) leaves the
+    previous summary.json whole and no temp file behind."""
+    path, cfg = base_config(tmp_path, strategies=["random"], budgets=[0.3], seeds=[1], epochs=2)
+    assert cmd_run(str(path)) == 0
+    out = Path(cfg["output_dir"])
+    before = (out / "summary.json").read_text()
+    real_open = Path.open
+
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:5])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_on_full_disk(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        return FullDisk(f) if "w" in mode and self.name.startswith("summary") else f
+
+    monkeypatch.setattr(Path, "open", open_on_full_disk)
+    assert cmd_run(str(path)) == 1
+    monkeypatch.undo()
+    assert (out / "summary.json").read_text() == before
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("summary")) == ["summary.json"]
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -397,6 +432,19 @@ def test_verify_determinism_suite(capsys):
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
     assert "sgd_epoch parameters bit-identical" in out
+
+
+def test_verify_json_matches_text(capsys):
+    assert main(["verify", "--suite", "determinism", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--suite", "determinism"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert report["passed"] is True and list(report["seconds"]) == ["determinism"]
+    assert [c["suite"] for c in report["checks"]] == ["determinism"] * len(report["checks"])
+    assert len(lines) == len(report["checks"]) + 1
+    for line, check in zip(lines, report["checks"]):
+        status = "PASS" if check["passed"] else "FAIL"
+        assert line.startswith(f"[{status}] {check['name']}") and line.endswith(check["detail"])
 
 
 def test_verify_monitor_suite(capsys):

@@ -20,7 +20,7 @@ from glister.core import (
     taylor_proxy,
 )
 from glister.core import EpochRecord, RunTrace
-from glister.data import SplitSpec, gen_synthetic, split
+from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.experiments import glister_config
 from glister.models import (
     LossKind,
@@ -161,6 +161,31 @@ def test_factored_state_matches_gradient_table(blob_data, kind, arch):
         cfg = GlisterConfig(k=12, refreshes=3, lr=eta, greedy=greedy, loss=kind, seed=5)
         assert greedy_dss(train, val, params, cfg) == table_greedy_dss(
             train, val, params, cfg, 12
+        ), greedy
+
+
+def ten_class_blobs(seed, n, stream, d=10, classes=10):
+    """`n` rows of unit-variance Gaussian blobs around centers drawn from
+    `seed`, row i of class i mod classes, noise from sub-stream `stream`."""
+    rng = SeededRng(seed)
+    centers = rng.split(0).normals(classes * d).reshape(classes, d)
+    labels = np.arange(n) % classes
+    return Dataset(centers[labels] + rng.split(stream).normals(n * d).reshape(n, d), labels, classes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_dss_ten_classes_matches_gradient_table(seed):
+    """Ten classes reach numpy's pairwise row sums (from 8 columns on).  Naive
+    and randomized rounds score pools of at least half the 400 rows by
+    projecting every row; stochastic's 188-row samples gather their rows."""
+    train = ten_class_blobs(seed, 400, stream=1)
+    val = ten_class_blobs(seed, 100, stream=2)
+    dims = ModelSpec("mlp", hidden=8).layer_dims(train.d, 10)
+    params = init_params(dims, "relu", SeededRng(seed).split(3))
+    for greedy in ("naive", "stochastic", "randomized"):
+        cfg = GlisterConfig(k=40, refreshes=10, lr=0.05, greedy=greedy, seed=seed)
+        assert greedy_dss(train, val, params, cfg) == table_greedy_dss(
+            train, val, params, cfg, 40
         ), greedy
 
 

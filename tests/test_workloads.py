@@ -1,10 +1,12 @@
 """The benchmark's workloads (perfbench/workloads.py) drive the package through
 its public entry points: a config file through `load_experiment_config` and
 `run_experiment`, `glister_online_train`, and `run_active`.  Running each at
-its toy size here fails as soon as one of those calls changes shape, rather
+its toy size here fails as soon as one of those calls changes shape, and one
+full-size `select-scale` run fails as soon as its subset digests move, rather
 than at benchmark time."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,14 @@ def test_benchmark_seed_labels_match_initial_labeled(size):
         draws = [f(pool, p["initial"], SeededRng(seed).split(71))
                  for f in (workloads._initial_labeled, initial_labeled)]
         assert draws[0] == draws[1]
+
+
+def test_select_scale_full_size_digests_match_reference(tmp_path):
+    """The full-size `select-scale` selections of seed 0 must keep the digests
+    that `perfbench/reference.json` records, so a change that moves them fails
+    here rather than only when the benchmark runs."""
+    entry, check = load_workloads().WORKLOADS["select-scale"](0, "full", tmp_path)
+    ops = check(entry())["ops"]
+    reference = json.loads((WORKLOADS.parent / "reference.json").read_text())
+    assert [op["error"] for op in ops if not op["ok"]] == []
+    assert {op["id"]: op["digest"] for op in ops} == reference["select-scale"]["0"]

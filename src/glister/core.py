@@ -167,8 +167,9 @@ class GainState:
     (delta) is its loss gradient w.r.t. the logits.  The (n, H*C) row table
     is never built: a score is ``-eta * (h . (V_W delta) + V_b . delta)``.
     `refresh` recomputes delta and the validation gradient exactly at the
-    current lookahead; between refreshes both are frozen while `add` folds
-    elements into the lookahead.  The candidates are the training rows.
+    current lookahead, and projects every row once (`hidden_val_w`, h V_W);
+    between refreshes all three are frozen while `add` folds elements into
+    the lookahead.  The candidates are the training rows.
     """
 
     theta_lookahead: np.ndarray
@@ -180,6 +181,7 @@ class GainState:
     hidden: np.ndarray  # (n_cand, H) penultimate activations
     logit_grads: np.ndarray | None = None  # (n_cand, C) delta at the last refresh
     val_grad_at_lookahead: np.ndarray | None = None
+    hidden_val_w: np.ndarray | None = None  # (n_cand, C) h V_W at the last refresh
     refresh_count: int = 0
     _val_hidden: tuple | None = None  # (val, its penultimate activations)
 
@@ -200,9 +202,9 @@ class GainState:
         h_v = self._val_hidden[1]
         w, b = look.layers[-1]
         delta_v = logit_grads(h_v @ w + b, val.labels, self.kind)
-        self.val_grad_at_lookahead = -np.concatenate(
-            [(h_v.T @ delta_v).ravel(), delta_v.sum(axis=0)]
-        )
+        v_w = -(h_v.T @ delta_v)
+        self.val_grad_at_lookahead = np.concatenate([v_w.ravel(), -delta_v.sum(axis=0)])
+        self.hidden_val_w = self.hidden @ v_w
         self.refresh_count += 1
 
     def add(self, positions) -> None:
@@ -236,25 +238,14 @@ def taylor_gain(state: GainState, e: int) -> float:
 
 def _taylor_gains(state: GainState, positions: np.ndarray) -> np.ndarray:
     """eta * (candidate row . validation gradient) for each position, with the
-    row kept in its factors h and delta.
-
-    A pool of at least half the rows (every naive and randomized GreedyDSS
-    round) projects every row and indexes the (n, C) product: gathering
-    `hidden[positions]` first costs as much as the product.  Smaller pools
-    (stochastic samples, a single row) gather: projecting all rows would
-    cost more than the copy saves, and for a few rows BLAS takes another
-    kernel whose last bits differ."""
+    row kept in its factors h and delta.  h V_W is read from the refresh's
+    projection of every row, so no pool copies `hidden[positions]`."""
     v = state.val_grad_at_lookahead
     if v is None:
         raise ValueError("state has never been refreshed")
-    n_w = state.hidden.shape[1] * state.logit_grads.shape[1]
-    v_w = v[:n_w].reshape(state.hidden.shape[1], -1)
     delta = state.logit_grads[positions]
-    if 2 * len(positions) >= len(state.hidden):
-        hv = (state.hidden @ v_w)[positions]
-    else:
-        hv = state.hidden[positions] @ v_w
-    return -state.eta * (np.einsum("ij,ij->i", hv, delta) + delta @ v[n_w:])
+    hv = state.hidden_val_w[positions]
+    return -state.eta * (np.einsum("ij,ij->i", hv, delta) + delta @ v[-delta.shape[1]:])
 
 
 def exact_objective(

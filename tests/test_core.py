@@ -176,8 +176,8 @@ def ten_class_blobs(seed, n, stream, d=10, classes=10):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_dss_ten_classes_matches_gradient_table(seed):
     """Ten classes reach numpy's pairwise row sums (from 8 columns on).  Naive
-    and randomized rounds score pools of at least half the 400 rows by
-    projecting every row; stochastic's 188-row samples gather their rows."""
+    and randomized rounds score nearly all 400 rows, stochastic's samples
+    188 of them; each indexes the refresh's projection of every row."""
     train = ten_class_blobs(seed, 400, stream=1)
     val = ten_class_blobs(seed, 100, stream=2)
     dims = ModelSpec("mlp", hidden=8).layer_dims(train.d, 10)

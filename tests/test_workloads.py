@@ -48,11 +48,19 @@ def test_benchmark_seed_labels_match_initial_labeled(size):
 
 
 def test_select_scale_full_size_digests_match_reference(tmp_path):
-    """The full-size `select-scale` selections of seed 0 must keep the digests
-    that `perfbench/reference.json` records, so a change that moves them fails
-    here rather than only when the benchmark runs."""
+    """The full-size `select-scale` selections of seed 0 must pass the digest
+    verdict of `perfbench/run.py` (`check_ops`) against
+    `perfbench/reference.json`, so a change that moves them fails here rather
+    than only when the benchmark runs.  The reference digests were recorded
+    on one host's BLAS (see perfbench/README.md); a BLAS build that rounds a
+    product differently can flip a near-tie pick and fail this test with no
+    change to the code."""
     entry, check = load_workloads().WORKLOADS["select-scale"](0, "full", tmp_path)
-    ops = check(entry())["ops"]
-    reference = json.loads((WORKLOADS.parent / "reference.json").read_text())
-    assert [op["error"] for op in ops if not op["ok"]] == []
-    assert {op["id"]: op["digest"] for op in ops} == reference["select-scale"]["0"]
+    unit = check(entry())
+    spec = importlib.util.spec_from_file_location("perfbench_run", WORKLOADS.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    reference = json.loads(run.REFERENCE.read_text())["select-scale"]["0"]
+    verdicts = run.check_ops([unit], reference)
+    assert verdicts
+    assert [(v["id"], v["error"]) for v in verdicts if v["error"]] == []

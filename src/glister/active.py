@@ -146,7 +146,8 @@ def fass_acquire(
     if batch > len(unlabeled):
         raise ValueError("batch exceeds the unlabeled pool")
     entropy = _predictive_entropy(params, pool.features[unlabeled])
-    keep = min(len(unlabeled), max(batch, int(round(filter_mult * batch))))
+    # clamped before rounding, so that a huge filter_mult keeps every row
+    keep = max(batch, int(round(min(filter_mult * batch, len(unlabeled)))))
     cand = np.sort(_top_ranked(unlabeled, entropy, keep))
     hyp = hypothesized_labels(params, pool.features[cand])
     oracle = facility_location(pool.features[cand], hyp, per_class=True)

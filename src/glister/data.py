@@ -219,16 +219,15 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     count = int(math.floor(rate * ds.n + 0.5))  # rate * n >= 0
     rng = SeededRng(seed)
     chosen = rng.choice_no_replace(ds.n, count)
+    # one randint(C - 1) per chosen row, in the order chosen
+    offsets = 1 + np.array(rng._randints(np.full(count, ds.num_classes - 1)), dtype=np.int64)
     labels = ds.labels.copy()
+    labels[chosen] = (labels[chosen] + offsets) % ds.num_classes
     flips = ds.noise_flipped.copy()
     orig = ds.original_label.copy()
-    for i in chosen:
-        old = labels[i]
-        offset = 1 + rng.randint(ds.num_classes - 1)
-        labels[i] = (old + offset) % ds.num_classes
-        if not flips[i]:
-            orig[i] = old
-            flips[i] = True
+    fresh = chosen[~flips[chosen]]  # a row flipped before keeps its first original
+    orig[fresh] = ds.labels[fresh]
+    flips[chosen] = True
     return Dataset(ds.features, labels, ds.num_classes, flips, orig)
 
 
@@ -272,11 +271,6 @@ _SHIFTED = {
     "shifted-validation-4": "overlapping-4",
 }
 SYNTHETIC_KINDS = tuple(_CENTERS) + tuple(_SHIFTED)
-
-
-def synthetic_classes(kind: str) -> int:
-    """The number of classes that `gen_synthetic(kind, ...)` draws."""
-    return len(_CENTERS[_SHIFTED.get(kind, kind)][0])
 
 
 def _blobs(centers, sigma: float, n_per_class: int, rng: SeededRng) -> Dataset:

@@ -33,15 +33,12 @@ from .data import (
     Dataset,
     SplitSpec,
     SYNTHETIC_KINDS,
-    _SHIFTED,
     gen_synthetic,
     inject_class_imbalance,
     inject_label_noise,
     parse_libsvm,
     split,
-    split_sizes,
     standardize,
-    synthetic_classes,
 )
 from .models import LossKind, ModelSpec, output_width
 from .numerics import SeededRng
@@ -177,7 +174,7 @@ class DataSpec:
     """Where a run's rows come from, how they split and what corrupts the
     train part.  A seed of None means the run seed."""
 
-    source: str | tuple  # a synthetic kind, or the (train, val, test) rows of a LIBSVM file
+    source: str | Dataset  # a synthetic kind, or the rows of a LIBSVM file
     n_per_class: int
     seed: int | None
     split: SplitSpec
@@ -189,13 +186,15 @@ class DataSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed `glister run` or `glister active` config: every value a run
-    uses, checked once and with its default applied.  `selection` is a
-    template with seed 0 and no budget, which each cell completes."""
+    uses, checked once and with its default applied.  `datasets` maps each
+    seed to its built (train, val, test, max_row_norm), which every cell of
+    that seed shares.  `selection` is a template with seed 0 and no budget,
+    which each cell completes."""
 
     output_dir: Path
     strategies: list
     seeds: list
-    data: DataSpec
+    datasets: dict
     model: ModelSpec
     selection: GlisterConfig
     # `glister run` reads budgets and epochs, `glister active` the rest
@@ -246,10 +245,9 @@ def _data_spec(raw: dict) -> DataSpec:
         raise ConfigError(f"invalid split: {exc}") from None
     ds = _read(raw, "dataset", _REQUIRED, "a JSON object")
     if _read(ds, "dataset.kind", _REQUIRED, "'synthetic' or 'libsvm'") == "libsvm":
-        # the split depends only on its seed, so every cell shares this one
         path = _read(ds, "dataset.path", _REQUIRED, "a string")
         try:
-            source = split(parse_libsvm(Path(path).read_bytes()), split_spec)
+            source = parse_libsvm(Path(path).read_bytes())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load dataset.path {path!r}: {exc}") from None
     else:
@@ -268,20 +266,17 @@ def _data_spec(raw: dict) -> DataSpec:
             _read(imb, "corruption.imbalance.keep_frac", 0.1, "a number in (0, 1)"),
             _read(imb, "corruption.imbalance.seed", None, "an integer"),
         )
-    n_per_class = _read(ds, "dataset.n_per_class", 250, "an integer >= 2")
-    # plain synthetic kinds split n_per_class rows of each class
-    plain = isinstance(source, str) and source not in _SHIFTED
-    if plain and 0 in split_sizes(n_per_class, split_spec):
-        raise ConfigError(f"dataset.n_per_class {n_per_class} leaves an empty split part")
     return DataSpec(
-        source, n_per_class, _read(ds, "dataset.seed", None, "an integer"), split_spec,
+        source, _read(ds, "dataset.n_per_class", 250, "an integer >= 2"),
+        _read(ds, "dataset.seed", None, "an integer"), split_spec,
         noise, imbalance, _read(raw, "standardize", True, "true or false"),
     )
 
 
 def _parse(raw, active: bool) -> ExperimentConfig:
     """Check every key of a decoded config and return the values a run
-    uses; raises ConfigError before anything is built or written."""
+    uses, with each seed's datasets built; raises ConfigError before
+    anything is written."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - (_ACTIVE_KEYS if active else _CONFIG_KEYS)
@@ -307,23 +302,40 @@ def _parse(raw, active: bool) -> ExperimentConfig:
         model = ModelSpec(**{"arch": "mlp", **model_keys})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
-    source = data.source
-    classes = source[0].num_classes if isinstance(source, tuple) else synthetic_classes(source)
     try:
         selection = glister_config(raw)
-        output_width(selection.loss, classes)  # a margin loss needs two classes
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid selection settings: {exc}") from None
-    if active and loop.get("initial_labeled", ExperimentConfig.initial_labeled) < classes:
-        raise ConfigError(f"initial_labeled must cover the {classes} classes")
+    try:
+        datasets = {seed: build_datasets(data, seed) for seed in seeds}
+    except ValueError as exc:
+        raise ConfigError(f"invalid dataset: {exc}") from None
+    config = ExperimentConfig(output_dir, strategies, seeds, datasets, model, selection, **loop)
+    _check_fit(config, active)
+    return config
+
+
+def _check_fit(config: ExperimentConfig, active: bool) -> None:
+    """Raise ConfigError unless the built rows of every seed suit the loss,
+    the budgets, glister's refreshes and (for `active`) the seed labels and
+    rounds."""
+    classes = config.datasets[config.seeds[0]][0].num_classes
+    n_train = min(train.n for train, *_ in config.datasets.values())
+    try:
+        output_width(config.selection.loss, classes)  # a margin loss needs two classes
+        ks = [replace(config.selection, budget_frac=b).resolve_k(n_train) for b in config.budgets]
+        if "glister" in config.strategies:  # it refreshes at most k times
+            for k in [config.batch] if active else ks:
+                config.selection.resolve_r(k)
+    except ValueError as exc:
+        raise ConfigError(f"invalid selection settings: {exc}") from None
     if not active:
-        n_train = min(_train_rows(data, classes, seed) for seed in seeds)
-        for budget in loop.get("budgets", ()):
-            try:
-                replace(selection, budget_frac=budget).resolve_k(n_train)
-            except ValueError as exc:
-                raise ConfigError(f"budgets: {exc}") from None
-    return ExperimentConfig(output_dir, strategies, seeds, data, model, selection, **loop)
+        return
+    if config.initial_labeled < classes:
+        raise ConfigError(f"initial_labeled must cover the {classes} classes")
+    wanted = config.initial_labeled + config.rounds * config.batch  # each round takes a full batch
+    if wanted > n_train:
+        raise ConfigError(f"initial_labeled + rounds * batch = {wanted} exceeds the {n_train}-row pool")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -334,9 +346,22 @@ def load_active_config(path) -> ExperimentConfig:
     return _parse(json.loads(Path(path).read_text()), active=True)
 
 
-def _corrupt(train: Dataset, data: DataSpec, seed: int) -> Dataset:
-    """The train part of config seed `seed` after its label noise and class
-    imbalance."""
+def build_datasets(data: DataSpec, seed: int):
+    """Materialize (train, val, test) plus the achieved feature-norm bound
+    for config seed `seed`: generate synthetic rows or take the LIBSVM rows,
+    split them, corrupt the train part with its label noise and class
+    imbalance, and standardize unless disabled."""
+    gen_seed = seed if data.seed is None else data.seed
+    rows = data.source
+    if isinstance(rows, str):
+        rows = gen_synthetic(rows, data.n_per_class, gen_seed)
+    if isinstance(rows, tuple):
+        # shifted-validation kinds: the full base set trains, and both
+        # validation and test come from the shifted distribution
+        train, val = rows
+        _, test = gen_synthetic(data.source, max(data.n_per_class // 4, 2), gen_seed + 1)
+    else:
+        train, val, test = split(rows, data.split)
     if data.noise is not None:
         rate, noise_seed = data.noise
         train = inject_label_noise(train, rate, seed if noise_seed is None else noise_seed)
@@ -345,44 +370,6 @@ def _corrupt(train: Dataset, data: DataSpec, seed: int) -> Dataset:
         train = inject_class_imbalance(
             train, affected_frac, keep_frac, seed if imb_seed is None else imb_seed
         )
-    return train
-
-
-def _train_rows(data: DataSpec, classes: int, seed: int) -> int:
-    """The train rows `build_datasets(data, seed)` gives, from the labels
-    alone: corruption reads only labels, and generated rows come class by
-    class."""
-    if isinstance(data.source, tuple):
-        labels = data.source[0].labels
-    else:
-        shifted = data.source in _SHIFTED  # the full base set trains
-        per_class = data.n_per_class if shifted else split_sizes(data.n_per_class, data.split)[0]
-        labels = np.repeat(np.arange(classes), per_class)
-    if data.imbalance is None:
-        return len(labels)  # label noise keeps every row
-    try:
-        return _corrupt(Dataset(np.zeros((len(labels), 0)), labels, classes), data, seed).n
-    except ValueError as exc:
-        raise ConfigError(f"invalid corruption: {exc}") from None
-
-
-def build_datasets(data: DataSpec, seed: int):
-    """Materialize (train, val, test) plus the achieved feature-norm bound
-    for one run: generate and split synthetic rows or take the split LIBSVM
-    rows, corrupt the train part, and standardize unless disabled."""
-    if isinstance(data.source, tuple):
-        train, val, test = data.source
-    else:
-        gen_seed = seed if data.seed is None else data.seed
-        out = gen_synthetic(data.source, data.n_per_class, gen_seed)
-        if isinstance(out, tuple):
-            # shifted-validation kinds: the full base set trains, and both
-            # validation and test come from the shifted distribution
-            train, val = out
-            _, test = gen_synthetic(data.source, max(data.n_per_class // 4, 2), gen_seed + 1)
-        else:
-            train, val, test = split(out, data.split)
-    train = _corrupt(train, data, seed)
     max_norm = float(np.sqrt((train.features**2).sum(axis=1)).max())
     if data.standardize:
         train, (val, test), stats = standardize(train, (val, test))
@@ -448,7 +435,7 @@ def _online_cells(config: ExperimentConfig):
         for b_idx, budget in enumerate(budgets):
             for seed in config.seeds:
                 run_seed = derive_run_seed(seed, strategy, b_idx)
-                train, val, test, max_norm = build_datasets(config.data, seed)
+                train, val, test, max_norm = config.datasets[seed]
                 cfg = replace(
                     config.selection, seed=run_seed, budget_frac=1.0 if budget is None else budget
                 )
@@ -474,7 +461,7 @@ def _active_cells(config: ExperimentConfig):
     for strategy in config.strategies:
         for seed in config.seeds:
             run_seed = derive_run_seed(seed, strategy, 0)
-            pool, val, test, _ = build_datasets(config.data, seed)
+            pool, val, test, _ = config.datasets[seed]
             cfg = replace(config.selection, seed=run_seed)
             initial = initial_labeled(pool, config.initial_labeled, SeededRng(run_seed).split(71))
             _, state, trace = run_active(

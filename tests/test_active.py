@@ -95,6 +95,15 @@ def test_fass_filter_mult_one_is_pure_uncertainty(pool_data):
     assert sel == expect
 
 
+def test_fass_huge_filter_mult_keeps_every_row(pool_data):
+    """A filter_mult whose product with the batch overflows to inf keeps
+    the whole unlabeled pool, as one of exactly len(unlabeled) / batch does."""
+    pool, _, _ = pool_data
+    unl = np.arange(0, pool.n, 2)
+    params = init_params([2, 2], "identity", SeededRng(5))
+    assert fass_acquire(pool, unl, params, 5, 1e308) == fass_acquire(pool, unl, params, 5, len(unl) / 5)
+
+
 def test_fass_zero_logit_ties_break_by_index(pool_data):
     pool, _, _ = pool_data
     unl = np.arange(pool.n)

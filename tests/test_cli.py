@@ -74,6 +74,8 @@ BAD_DATA = [
     # this test module is not LIBSVM text
     pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__))}}, id="libsvm-file-malformed"),
     pytest.param({"dataset": {**_DATASET, "name": "overlapping-4"}, "loss": "hinge"}, id="hinge-4-classes"),
+    pytest.param({"dataset": {"kind": "libsvm", "path": str(Path(__file__).with_name("one_class.libsvm"))},
+                  "corruption": {"noise_rate": 0.2}}, id="libsvm-one-class-noise"),
 ]
 
 # repeated values that would give two cells one trace file
@@ -246,6 +248,8 @@ def test_bad_budget_rejected(tmp_path):
         pytest.param({"budgets": [0.3, 0.301]}, id="budgets-same-tag"),
         # 80 train rows: k = round(0.08) = 0
         pytest.param({"budgets": [0.001]}, id="budget-k-0"),
+        # glister refreshes at most k = round(0.1 * 80) = 8 times
+        pytest.param({"budgets": [0.1], "refreshes": 9}, id="refreshes-above-k"),
         # one class keeps ceil(0.1 * 40) = 4 of its 40 rows: k = round(0.44) = 0
         pytest.param(
             {"budgets": [0.3, 0.01], "corruption": {"imbalance": {"affected_frac": 0.3, "keep_frac": 0.1}}},
@@ -395,6 +399,10 @@ def test_active_cli(tmp_path):
         pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
         pytest.param({"dataset": {**_DATASET, "name": "overlapping-4"}, "initial_labeled": 3},
                      id="initial_labeled-below-4-classes"),
+        # the pool holds 2 x 48 rows: too many seed labels, then too many rounds
+        pytest.param({"initial_labeled": 97}, id="initial_labeled-above-pool"),
+        pytest.param({"rounds": 9}, id="rounds-exhaust-pool"),
+        pytest.param({"refreshes": 11}, id="refreshes-above-batch"),
         *BAD_MODELS,
         *BAD_DATA,
         *BAD_SELECTION,
@@ -420,6 +428,26 @@ def test_bad_active_settings_rejected(tmp_path, bad):
     path.write_text(json.dumps(cfg))
     assert cmd_active(str(path)) == 2
     assert not (tmp_path / "active_out").exists()
+
+
+def test_active_rounds_may_fill_the_pool(tmp_path):
+    """8 seed labels and 8 batches of 11 take all 96 pool rows."""
+    cfg = {
+        "schema_version": 1,
+        "dataset": {"kind": "synthetic", "name": "separable-2", "n_per_class": 60, "seed": 2},
+        "model": {"arch": "logistic"},
+        "strategies": ["random"],
+        "rounds": 8,
+        "batch": 11,
+        "epochs_per_round": 1,
+        "initial_labeled": 8,
+        "seeds": [1],
+        "output_dir": str(tmp_path / "active_out"),
+    }
+    path = tmp_path / "active.json"
+    path.write_text(json.dumps(cfg))
+    assert cmd_active(str(path)) == 0
+    assert json.loads((tmp_path / "active_out" / "summary.json").read_text())[0]["labeled_count"] == 96
 
 
 def test_verify_unknown_suite():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,34 @@ def test_noise_preserves_shape_and_classes():
     out = inject_label_noise(full, 0.25, seed=3)
     assert (out.n, out.d, out.num_classes) == (full.n, full.d, full.num_classes)
     assert np.array_equal(out.features, full.features)
+
+
+def _noise_by_loop(ds, rate, seed):
+    """inject_label_noise's labels and flags drawn row by row, one scalar
+    randint per chosen row: the reference for its single bulk draw."""
+    rng = SeededRng(seed)
+    labels, flips, orig = ds.labels.copy(), ds.noise_flipped.copy(), ds.original_label.copy()
+    for i in rng.choice_no_replace(ds.n, int(math.floor(rate * ds.n + 0.5))):
+        old = labels[i]
+        labels[i] = (old + 1 + rng.randint(ds.num_classes - 1)) % ds.num_classes
+        if not flips[i]:
+            orig[i] = old
+            flips[i] = True
+    return labels, flips, orig
+
+
+@pytest.mark.parametrize("kind", ["separable-2", "separable-4", "overlapping-4"])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.5, 0.9])
+def test_noise_matches_row_by_row_draws(kind, rate):
+    """The same flips as the scalar loop, also when an already-noisy set is
+    noised again (a row flipped twice keeps its first original label)."""
+    for seed in range(3):
+        ds = gen_synthetic(kind, 30, seed=seed)
+        for noise_seed in (10 + seed, 20 + seed):
+            expect = _noise_by_loop(ds, rate, noise_seed)
+            ds = inject_label_noise(ds, rate, noise_seed)
+            for got, want in zip((ds.labels, ds.noise_flipped, ds.original_label), expect):
+                assert np.array_equal(got, want)
 
 
 def test_noise_rejects_rate_one():

@@ -33,7 +33,7 @@ opt_set, opt_val = exhaustive_max(f, k)
 
 print("facility location over 12 points, budget 4")
 print(f"  naive greedy      {sel_naive}  value {f.value(sel_naive):.3f}")
-print(f"  lazy greedy       {list(sel_lazy)}  ({sel_lazy.evaluations} oracle calls)")
+print(f"  lazy greedy       {list(sel_lazy)}  ({sel_lazy.evaluations} gains scored)")
 print(f"  stochastic greedy {sel_stoch}  value {f.value(sel_stoch):.3f}")
 print(f"  randomized greedy {sel_rand}  value {f.value(sel_rand):.3f}")
 print(f"  exhaustive optimum {sorted(opt_set)}  value {opt_val:.3f}")

@@ -540,6 +540,8 @@ def _selection_loop(
             t0 = time.perf_counter()
             subset = sorted(select(params, root.split(_SELECT_STREAM + t)))
             sel_s = time.perf_counter() - t0
+            # the subset holds until the next selection, and so do these
+            sub_x, sub_y, digest = train.features[subset], train.labels[subset], subset_digest(subset)
             if monitor is not None:
                 columns = monitor(params, subset)
         params = sgd_epoch(
@@ -549,11 +551,11 @@ def _selection_loop(
             epoch=t,
             wall_s=time.perf_counter() - start,
             sel_s=sel_s,
-            train_loss=loss_value(params, train.features[subset], train.labels[subset], cfg.loss),
+            train_loss=loss_value(params, sub_x, sub_y, cfg.loss),
             full_train_loss=loss_value(params, train.features, train.labels, cfg.loss),
             val_loss=loss_value(params, val.features, val.labels, cfg.loss),
             test_acc=accuracy(params, test),
-            subset_digest=subset_digest(subset),
+            subset_digest=digest,
         )
         if columns is not None:
             rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = columns

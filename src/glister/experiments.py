@@ -131,7 +131,7 @@ _RULES = {
     "a number in [0, 1)": lambda v: _is_number(v) and 0.0 <= v < 1.0,
     "a number in (0, 1)": lambda v: _is_number(v) and 0.0 < v < 1.0,
     "a finite number >= 1": lambda v: _is_number(v) and 1 <= v < math.inf,
-    "a list": lambda v: isinstance(v, list),
+    "a non-empty list": lambda v: isinstance(v, list) and bool(v),
     "a list of numbers in (0, 1]": lambda v: (
         isinstance(v, list) and all(_is_number(b) and 0.0 < b <= 1.0 for b in v)
     ),
@@ -284,7 +284,7 @@ def _parse(raw, active: bool) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("schema_version") != 1:
         raise ConfigError("schema_version must be 1")
-    strategies = _read(raw, "strategies", _REQUIRED, "a list")
+    strategies = _read(raw, "strategies", _REQUIRED, "a non-empty list")
     bad = [s for s in strategies if s not in (ACQUIRE_STRATEGIES if active else STRATEGIES)]
     if bad:
         raise ConfigError(f"unknown strategies: {bad}")

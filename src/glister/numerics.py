@@ -142,14 +142,20 @@ def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
     """Symmetric matrix of squared Euclidean distances between rows of `a`.
 
     The diagonal is exactly zero and tiny negative values from cancellation
-    are clipped to zero.
+    are clipped to zero.  The steps are those of
+    ``0.5 * ((sq_i + sq_j - 2 a a^T) + its transpose)``, in the same order,
+    so the result is the same to the bit, from two n x n arrays, not three.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("need a 2-D array with at least one row")
     sq = np.einsum("ij,ij->i", a, a)
-    d = sq[:, None] + sq[None, :] - 2.0 * (a @ a.T)
-    d = 0.5 * (d + d.T)
+    g = a @ a.T
+    g *= 2.0
+    d = np.add.outer(sq, sq)
+    d -= g
+    np.add(d, d.T, out=g)
+    np.multiply(g, 0.5, out=d)
     np.clip(d, 0.0, None, out=d)
     np.fill_diagonal(d, 0.0)
     return d

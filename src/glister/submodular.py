@@ -208,32 +208,56 @@ class _SelectionList(list):
     evaluations: int = 0
 
 
+_LAZY_BLOCK = 32  # widest block of stale bounds scored by one `marginals` call
+
+
 def lazy_greedy(f: SetFunctionOracle, k: int, quota: MatroidQuota | None = None) -> list[int]:
-    """Accelerated greedy with stale upper bounds; selects identically to
-    naive_greedy on submodular objectives.  The returned list carries the
-    number of oracle evaluations in its `.evaluations` attribute."""
+    """Accelerated greedy (Minoux) with stale upper bounds, re-scored in
+    blocks.  Each step re-scores the top stale bound alone and picks it if it
+    is still on top, so a modular objective costs one evaluation per later
+    pick.  Otherwise it re-scores the next stale, quota-feasible bounds in
+    blocks of 2, 4, ... up to 32 entries, one `marginals` call per block,
+    until the top bound is fresh, and picks that.
+
+    The pick is the argmax of (gain, -index) over the feasible elements,
+    naive_greedy's, whenever no gain exceeds its stale bound, which holds
+    exactly for submodular objectives whose gains do not rise in floating
+    point either.  Facility location is one: coverage is an exact max, and
+    subtraction, max(., 0) and summation are monotone in each operand.  The
+    extra entries of a block only tighten bounds, so they do not change the
+    pick.  The returned list carries the number of scored candidates, the
+    first round's n included, in its `.evaluations` attribute."""
     left = _quota_left(f, k, quota)
     selected: list[int] = []
-    evals = 0
     gains = f.marginals(np.arange(f.n), [])
-    evals += f.n
+    evals = f.n
     # heap of (-gain, index, |S| at evaluation time)
     heap = [(-float(g), int(e), 0) for e, g in enumerate(gains)]
     heapq.heapify(heap)
     while len(selected) < k:
+        now, width = len(selected), 1
+        while True:
+            block: list[int] = []
+            while heap and len(block) < width:
+                e, at = heap[0][1:]
+                if left is not None and left.get(int(f.labels[e]), 0) <= 0:
+                    heapq.heappop(heap)  # quota only shrinks, so e never returns
+                elif at == now:
+                    break
+                else:
+                    block.append(heapq.heappop(heap)[1])
+            if not block:
+                break
+            for e, g in zip(block, f.marginals(block, selected)):
+                heapq.heappush(heap, (-float(g), e, now))
+            evals += len(block)
+            width = min(2 * width, _LAZY_BLOCK)
         if not heap:
             raise ValueError("infeasible quota: class exhausted")
-        neg_gain, e, at = heapq.heappop(heap)
-        if left is not None and left.get(int(f.labels[e]), 0) <= 0:
-            continue  # quota only shrinks, so the element can never return
-        if at == len(selected):
-            selected.append(e)
-            if left is not None:
-                left[int(f.labels[e])] -= 1
-        else:
-            g = f.marginal(e, selected)
-            evals += 1
-            heapq.heappush(heap, (-float(g), e, len(selected)))
+        e = heapq.heappop(heap)[1]
+        selected.append(e)
+        if left is not None:
+            left[int(f.labels[e])] -= 1
     result = _SelectionList(selected)
     result.evaluations = evals
     return result
@@ -344,12 +368,10 @@ def facility_location(
 ) -> SetFunctionOracle:
     """Facility location over the rows of `features`; with per_class=True the
     coverage is restricted to rows of the matching label."""
-    features = np.asarray(features, dtype=np.float64)
-    dists = pairwise_sq_dists(features)
-    d_max = float(dists.max())
-    sim = d_max - dists
     if per_class and labels is None:
         raise ValueError("per_class facility location needs labels")
+    dists = pairwise_sq_dists(features)
+    sim = np.subtract(float(dists.max()), dists, out=dists)
     return _FacilityLocation(
         sim,
         labels if per_class else None,
@@ -373,8 +395,7 @@ def cross_facility_location(
     g2 = np.einsum("ij,ij->i", g, g)
     c2 = np.einsum("ij,ij->i", c, c)
     dists = np.clip(g2[:, None] + c2[None, :] - 2.0 * (g @ c.T), 0.0, None)
-    d_max = float(dists.max())
-    sim = d_max - dists
+    sim = np.subtract(float(dists.max()), dists, out=dists)
     return _FacilityLocation(
         sim, np.asarray(cover_labels, dtype=np.int64), np.asarray(ground_labels, dtype=np.int64)
     )

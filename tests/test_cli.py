@@ -245,6 +245,7 @@ def test_bad_budget_rejected(tmp_path):
         {"budgets": [None]},
         {"budgets": 0.3},
         {"strategies": {"glister": 1}},
+        {"strategies": []},
         pytest.param({"budgets": [0.3, 0.301]}, id="budgets-same-tag"),
         # 80 train rows: k = round(0.08) = 0
         pytest.param({"budgets": [0.001]}, id="budget-k-0"),
@@ -395,6 +396,7 @@ def test_active_cli(tmp_path):
         {"seeds": ["a"]},
         {"dataset": 3},
         {"strategies": {"fass": 1}},
+        {"strategies": []},
         pytest.param({"strategies": ["fass"], "filter_mult": 0.5}, id="filter_mult=0.5"),
         pytest.param({"strategies": ["fass"], "filter_mult": "x"}, id="filter_mult='x'"),
         pytest.param({"dataset": {**_DATASET, "name": "overlapping-4"}, "initial_labeled": 3},

@@ -187,3 +187,27 @@ def test_rng_shuffle_permutes_rows_of_2d_input():
     assert np.array_equal(out, x[perm])
     assert sorted(map(tuple, out.tolist())) == sorted(map(tuple, x.tolist()))
     assert np.array_equal(x, np.arange(10).reshape(5, 2))  # input untouched
+
+
+def _pairwise_by_formula(a):
+    """The distance formula `pairwise_sq_dists` evaluates in place."""
+    sq = np.einsum("ij,ij->i", a, a)
+    d = sq[:, None] + sq[None, :] - 2.0 * (a @ a.T)
+    d = 0.5 * (d + d.T)
+    np.clip(d, 0.0, None, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_pairwise_in_place_steps_match_formula():
+    rng = SeededRng(21)
+    pts = rng.normals(300 * 7).reshape(300, 7) * 3.0
+    cases = [
+        pts,
+        np.vstack([pts[:40], pts[:40], pts[5:9]]),  # duplicate rows
+        pts[:1],
+        rng.normals(12 * 200).reshape(12, 200),  # wide: n < d
+        pts[:, :1] + 1e8,  # cancellation leaves tiny negatives to clip
+    ]
+    for a in cases:
+        assert np.array_equal(pairwise_sq_dists(a), _pairwise_by_formula(a))

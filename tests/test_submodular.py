@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -372,13 +373,16 @@ def test_per_class_facility_location_needs_labels():
         cross_facility_location(pts, None, pts, labels)
 
 
-def fl_factories(seed, n=40):
-    """Constructors of a plain, a per-class and a cross facility location."""
+def fl_factories(seed, n=40, n_cover=15, dup=0):
+    """Constructors of a plain, a per-class and a cross facility location;
+    the last `dup` ground rows repeat earlier ones, so gains tie exactly."""
     rng = SeededRng(seed)
-    pts = rng.normals(3 * n).reshape(n, 3)
+    pts = rng.normals(3 * (n - dup)).reshape(n - dup, 3)
+    if dup:
+        pts = np.vstack([pts, pts[rng.choice_no_replace(n - dup, dup)]])
     labels = np.array([rng.randint(3) for _ in range(n)])
-    cover = rng.normals(3 * 15).reshape(15, 3)
-    cover_labels = np.array([rng.randint(3) for _ in range(15)])
+    cover = rng.normals(3 * n_cover).reshape(n_cover, 3)
+    cover_labels = np.array([rng.randint(3) for _ in range(n_cover)])
     return [
         lambda: facility_location(pts),
         lambda: facility_location(pts, labels, per_class=True),
@@ -558,3 +562,68 @@ def test_kmeans_deterministic_and_partitioning():
     c2, a2 = kmeans(pts, 4, SeededRng(3))
     assert np.array_equal(c1, c2) and np.array_equal(a1, a2)
     assert set(np.unique(a1)) <= set(range(4))
+
+
+def _one_at_a_time_lazy_greedy(f, k, quota=None):
+    """Minoux's loop re-scoring one stale bound per step with `marginal`, the
+    reference for the block re-scoring of `lazy_greedy`."""
+    left = None if quota is None else dict(quota.per_class)
+    selected = []
+    heap = [(-float(g), e, 0) for e, g in enumerate(f.marginals(np.arange(f.n), []))]
+    heapq.heapify(heap)
+    while len(selected) < k:
+        _, e, at = heapq.heappop(heap)
+        if left is not None and left.get(int(f.labels[e]), 0) <= 0:
+            continue
+        if at == len(selected):
+            selected.append(e)
+            if left is not None:
+                left[int(f.labels[e])] -= 1
+        else:
+            heapq.heappush(heap, (-f.marginal(e, selected), e, len(selected)))
+    return selected
+
+
+# rows past numpy's 128-entry pairwise-summation block, 60 of them repeated
+_LARGE_FL = {"n": 300, "n_cover": 150, "dup": 60}
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_facility_location_marginals_match_marginal_bitwise(which):
+    """Block re-scoring in `lazy_greedy` rests on this: one row of `marginals`
+    is the same float as `marginal` of that row."""
+    k = 40
+    for seed in (1, 2):
+        f = fl_factories(seed, **_LARGE_FL)[which]()
+        cands = np.arange(f.n)
+        picks = list(naive_greedy(f, k))
+        for subset in ([], picks[:1], picks[:17], picks):
+            block = f.marginals(cands, subset)
+            rows = np.array([f.marginal(e, subset) for e in cands])
+            assert np.array_equal(block, rows)
+            mixed = cands[::-7]  # an unsorted block, as the heap pops it
+            assert np.array_equal(f.marginals(mixed, subset), rows[mixed])
+
+
+def test_lazy_greedy_blocks_match_one_at_a_time_loop():
+    for seed in (1, 2, 3):
+        for make in fl_factories(seed, **_LARGE_FL):
+            f = make()
+            runs = [(60, None), (f.n, None)]
+            if f.labels is not None:
+                runs.append((45, MatroidQuota.from_proportions(f.labels, 3, 45)))
+            for k, quota in runs:
+                got = lazy_greedy(f, k, quota)
+                want = _one_at_a_time_lazy_greedy(make(), k, quota)
+                assert list(got) == want
+                assert list(got) == naive_greedy(make(), k, quota)
+                assert got.evaluations >= f.n + k - 1
+
+
+def test_lazy_greedy_exact_ties_go_to_lower_index():
+    pts = np.repeat(SeededRng(4).normals(20).reshape(10, 2), 3, axis=0)
+    f = facility_location(pts)
+    got = lazy_greedy(f, 10)
+    assert list(got) == _one_at_a_time_lazy_greedy(f, 10)
+    # every point has three copies; the first copy of each is picked
+    assert all(e % 3 == 0 for e in got)

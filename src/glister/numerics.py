@@ -123,12 +123,12 @@ class SeededRng:
 
 
 def log_sum_exp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) via max-shift; raises on empty input."""
-    v = np.asarray(v, dtype=np.float64)
+    """log(sum(exp(v))) over every entry: the vector case of
+    `log_sum_exp_rows`; raises on empty input."""
+    v = np.ravel(np.asarray(v, dtype=np.float64))
     if v.size == 0:
         raise ValueError("empty vector")
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
+    return float(log_sum_exp_rows(v))
 
 
 def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
@@ -138,22 +138,25 @@ def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
     return (shift + np.log(np.exp(m - shift).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of squared Euclidean distances between rows of `a`.
-
-    The diagonal is exactly zero and tiny negative values from cancellation
-    are clipped to zero.  The steps are those of
-    ``0.5 * ((sq_i + sq_j - 2 a a^T) + its transpose)``, in the same order,
-    so the result is the same to the bit, from two n x n arrays, not three.
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances from the rows of `a` to those of `b` (which
+    may be `a` itself), by the steps of ``sq_a[:, None] + sq_b[None, :] - 2 a b^T``
+    clipped at zero; without `b`, the symmetric matrix
+    ``0.5 * ((sq_i + sq_j - 2 a a^T) + its transpose)``, clipped, with an exactly
+    zero diagonal.  Either runs its formula's steps in order, in place, so the
+    result is the same to the bit, from two n x m arrays, not three or more.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError("need a 2-D array with at least one row")
+    c = a if b is None else np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or c.ndim != 2 or a.shape[0] < 1 or c.shape[0] < 1:
+        raise ValueError("need 2-D arrays with at least one row")
     sq = np.einsum("ij,ij->i", a, a)
-    g = a @ a.T
+    g = a @ c.T
     g *= 2.0
-    d = np.add.outer(sq, sq)
+    d = np.add.outer(sq, sq if b is None else np.einsum("ij,ij->i", c, c))
     d -= g
+    if b is not None:
+        return np.clip(d, 0.0, None, out=d)
     np.add(d, d.T, out=g)
     np.multiply(g, 0.5, out=d)
     np.clip(d, 0.0, None, out=d)

@@ -44,9 +44,10 @@ GREEDY_VARIANTS = ("naive", "stochastic", "randomized")
 class SetFunctionOracle:
     """Evaluable set function over ground set {0..n-1}.
 
-    Subclasses implement `value`; `marginals` defaults to a loop of value
-    differences and `marginal` to one entry of `marginals`, so a vectorized
-    `marginals` serves both.
+    Subclasses implement `value` and may vectorize `marginals`, which
+    defaults to a loop of value differences.  `marginal` is one entry of
+    `marginals` and no oracle here overrides it, so a single gain and a
+    batched one are the same to the bit.
     """
 
     def __init__(self, n: int, monotone: bool, labels: np.ndarray | None = None):
@@ -310,14 +311,16 @@ def exhaustive_max(
 
 
 class _FacilityLocation(SetFunctionOracle):
-    """Coverage of `cover` rows by selected ground rows under the similarity
-    w(i, j) = d_max - ||x_i - x_j||^2; uncovered rows contribute 0 (the max
-    over an empty set is defined as 0).
+    """Coverage of `cover` rows (the ground rows themselves without `cover`)
+    by selected `ground` rows under the similarity w(i, j) = d_max -
+    ||x_i - x_j||^2; uncovered rows contribute 0 (the max over an empty set
+    is defined as 0).  The constructor is the one build of every variant.
 
     With cover labels, a ground row covers only cover rows of its own label.
     Since w >= 0 (d_max is the largest distance), setting the cross-class
     entries of `sim` to 0 once, in place, gives every value and gain the
-    clamp max(masked max, 0) would give, with no masking per call.
+    clamp max(masked max, 0) would give, with no masking per call.  Every
+    gain goes through `marginals`; `marginal` is one entry of it.
 
     The oracle remembers the subset of its last call and the column-wise max
     over its rows.  A call whose subset extends that one, as greedy engines
@@ -325,12 +328,13 @@ class _FacilityLocation(SetFunctionOracle):
     bit-identical to a recomputation.
     """
 
-    def __init__(self, sim: np.ndarray, cover_labels, ground_labels):
+    def __init__(self, ground, ground_labels=None, cover=None, cover_labels=None):
+        sim = pairwise_sq_dists(ground, cover)
+        np.subtract(float(sim.max()), sim, out=sim)
         super().__init__(sim.shape[0], monotone=True, labels=ground_labels)
         if cover_labels is not None:
             sim[self.labels[:, None] != np.asarray(cover_labels)[None, :]] = 0.0
         self._sim = sim  # (n_ground, n_cover)
-        self._buf = np.empty(sim.shape[1])  # scratch row for `marginal`
         # a copy of the last subset, so later edits by the caller do not leak in
         self._last_rows: list = []
         self._last_best: np.ndarray | None = None
@@ -352,10 +356,6 @@ class _FacilityLocation(SetFunctionOracle):
     def value(self, subset) -> float:
         return float(self._coverage(subset).sum())
 
-    def marginal(self, e: int, subset) -> float:
-        gain = np.subtract(self._sim[e], self._coverage(subset), out=self._buf)
-        return float(np.maximum(gain, 0.0, out=gain).sum())
-
     def marginals(self, candidates, subset) -> np.ndarray:
         cov = self._coverage(subset)
         block = self._sim[np.asarray(candidates, dtype=np.int64)]
@@ -370,13 +370,7 @@ def facility_location(
     coverage is restricted to rows of the matching label."""
     if per_class and labels is None:
         raise ValueError("per_class facility location needs labels")
-    dists = pairwise_sq_dists(features)
-    sim = np.subtract(float(dists.max()), dists, out=dists)
-    return _FacilityLocation(
-        sim,
-        labels if per_class else None,
-        None if labels is None else np.asarray(labels, dtype=np.int64),
-    )
+    return _FacilityLocation(features, labels, cover_labels=labels if per_class else None)
 
 
 def cross_facility_location(
@@ -390,15 +384,7 @@ def cross_facility_location(
     with a reference set)."""
     if ground_labels is None or cover_labels is None:
         raise ValueError("per_class facility location needs labels")
-    g = np.asarray(ground_features, dtype=np.float64)
-    c = np.asarray(cover_features, dtype=np.float64)
-    g2 = np.einsum("ij,ij->i", g, g)
-    c2 = np.einsum("ij,ij->i", c, c)
-    dists = np.clip(g2[:, None] + c2[None, :] - 2.0 * (g @ c.T), 0.0, None)
-    sim = np.subtract(float(dists.max()), dists, out=dists)
-    return _FacilityLocation(
-        sim, np.asarray(cover_labels, dtype=np.int64), np.asarray(ground_labels, dtype=np.int64)
-    )
+    return _FacilityLocation(ground_features, ground_labels, cover_features, cover_labels)
 
 
 def kmeans(points: np.ndarray, k: int, rng: SeededRng, iters: int = 25):
@@ -407,11 +393,16 @@ def kmeans(points: np.ndarray, k: int, rng: SeededRng, iters: int = 25):
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n points")
+
+    def sq_dists(centers: np.ndarray) -> np.ndarray:
+        # direct differences: the Gram form of `pairwise_sq_dists` rounds
+        # differently and would move the centroids
+        return ((points[:, None, :] - centers[None]) ** 2).sum(axis=2)
+
     centers = [points[rng.randint(n)]]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest center so far
     for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0
-        )
+        d2 = np.minimum(d2, sq_dists(centers[-1][None])[:, 0])
         total = d2.sum()
         if total <= 0:
             centers.append(points[rng.randint(n)])
@@ -422,8 +413,7 @@ def kmeans(points: np.ndarray, k: int, rng: SeededRng, iters: int = 25):
     centroids = np.array(centers)
     assign = np.zeros(n, dtype=np.int64)
     for it in range(iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        new_assign = sq_dists(centroids).argmin(axis=1)
         if it > 0 and np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glister.numerics import SeededRng, finite_diff_grad, log_sum_exp, pairwise_sq_dists
+from glister.submodular import cross_facility_location
 
 
 def test_log_sum_exp_symmetry():
@@ -199,15 +200,44 @@ def _pairwise_by_formula(a):
     return d
 
 
+def _cross_by_formula(g, c):
+    """The cross-set formula `pairwise_sq_dists(a, b)` evaluates in place, as
+    `cross_facility_location` once spelled it out."""
+    g2 = np.einsum("ij,ij->i", g, g)
+    c2 = np.einsum("ij,ij->i", c, c)
+    return np.clip(g2[:, None] + c2[None, :] - 2.0 * (g @ c.T), 0.0, None)
+
+
 def test_pairwise_in_place_steps_match_formula():
     rng = SeededRng(21)
     pts = rng.normals(300 * 7).reshape(300, 7) * 3.0
+    wide = rng.normals(12 * 200).reshape(12, 200)
     cases = [
         pts,
         np.vstack([pts[:40], pts[:40], pts[5:9]]),  # duplicate rows
         pts[:1],
-        rng.normals(12 * 200).reshape(12, 200),  # wide: n < d
+        wide,  # wide: n < d
         pts[:, :1] + 1e8,  # cancellation leaves tiny negatives to clip
     ]
     for a in cases:
         assert np.array_equal(pairwise_sq_dists(a), _pairwise_by_formula(a))
+    cross = [
+        (pts[:170], pts[170:]),
+        (np.vstack([pts[:40], pts[:40]]), np.vstack([pts[5:9], pts[:40]])),  # duplicate rows
+        (pts[:1], pts[1:]),
+        (pts, pts[7:8]),
+        (wide[:5], wide[5:]),  # wide: n < d
+        (pts[:, :1] + 1e8, pts[:50, :1] + 1e8),
+        (pts, pts),  # the same array on both sides, as knnsub_train passes it
+    ]
+    for a, b in cross:
+        assert np.array_equal(pairwise_sq_dists(a, b), _cross_by_formula(a, b))
+    # the cross oracle's similarity equals the build it once did itself
+    ground_labels = np.array([rng.randint(3) for _ in range(170)])
+    cover_labels = np.array([rng.randint(3) for _ in range(130)])
+    for ground, cover in [(pts[:170], pts[170:]), (pts[:170], pts[:130])]:
+        dists = _cross_by_formula(ground, cover)
+        sim = dists.max() - dists
+        sim[ground_labels[:, None] != cover_labels[None, :]] = 0.0
+        got = cross_facility_location(ground, ground_labels, cover, cover_labels)._sim
+        assert np.array_equal(got, sim)

@@ -564,6 +564,52 @@ def test_kmeans_deterministic_and_partitioning():
     assert set(np.unique(a1)) <= set(range(4))
 
 
+def _kmeans_rebuilding_seed_distances(points, k, rng, iters=25):
+    """`kmeans` as it was before the seeding kept a running minimum: every
+    k-means++ step recomputes each center's distances with a second
+    expression.  The reference its centroids and assignments must equal."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centers = [points[rng.randint(n)]]
+    for _ in range(1, k):
+        d2 = np.min([np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(points[rng.randint(n)])
+            continue
+        target = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(d2), target))
+        centers.append(points[min(idx, n - 1)])
+    centroids = np.array(centers)
+    assign = np.zeros(n, dtype=np.int64)
+    for it in range(iters):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        if it > 0 and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return centroids, assign
+
+
+def test_kmeans_matches_rebuilding_seed_reference():
+    for seed in range(40):
+        rng = SeededRng(100 + seed)
+        n, d = 5 + rng.randint(60), 1 + rng.randint(40)
+        pts = rng.normals(n * d).reshape(n, d) * (1.0 + rng.randint(50)) + rng.randint(100)
+        if seed % 4 == 1:  # duplicate rows
+            pts = np.vstack([pts, pts[rng.choice_no_replace(n, n // 2)]])
+        elif seed % 4 == 2:  # one repeated row: every seeding total is exactly 0
+            pts = np.tile(pts[rng.randint(n)], (n, 1))
+        k = 1 + rng.randint(min(12, len(pts)))
+        got = kmeans(pts, k, SeededRng(seed))
+        want = _kmeans_rebuilding_seed_distances(pts, k, SeededRng(seed))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def _one_at_a_time_lazy_greedy(f, k, quota=None):
     """Minoux's loop re-scoring one stale bound per step with `marginal`, the
     reference for the block re-scoring of `lazy_greedy`."""

@@ -20,6 +20,7 @@ import hashlib
 import math
 import numbers
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .models import (
     loss_value,
     output_width,
     sgd_epoch,
+    sgd_epoch_stack,
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
 from .submodular import (
@@ -53,6 +55,7 @@ __all__ = [
     "GainState",
     "RunTrace",
     "EpochRecord",
+    "Run",
     "make_gain_state",
     "taylor_gain",
     "exact_objective",
@@ -60,6 +63,7 @@ __all__ = [
     "taylor_proxy",
     "greedy_dss",
     "glister_online_train",
+    "glister_run",
     "init_model_params",
     "monitor_theorem2",
     "monitor_theorem3",
@@ -509,58 +513,111 @@ def _train_epochs(params, train, subset, cfg, epochs, rng_root, offset):
     return params
 
 
-def _selection_loop(
-    train: Dataset,
-    val: Dataset,
-    test: Dataset,
-    params: ModelParams,
-    cfg: GlisterConfig,
-    epochs: int,
-    select,
-    every: int,
-    monitor=None,
-) -> tuple[ModelParams, list[int], RunTrace]:
-    """Select-every-L training shared by every strategy: epoch t calls
-    ``select(params, rng)`` when t mod `every` == 0, then runs one epoch of
-    mini-batch SGD on the sorted subset.  Selection draws from the stream
-    split(_SELECT_STREAM + t), SGD from split(t).  `sel_s` times only the
-    `select` call; `monitor(params, subset)` then fills the selection
-    epoch's monitor columns.  Wall clock in the trace includes selection.
+@dataclass(frozen=True)
+class Run:
+    """One run of the select-every-L loop: its data, starting parameters,
+    config (seed, lr, batch size, loss), selector ``select(params, rng)``,
+    selection period `every`, the `name` its errors carry, and an optional
+    `monitor(params, subset)` of the selection epochs' monitor columns."""
+
+    train: Dataset
+    val: Dataset
+    test: Dataset
+    params: ModelParams
+    cfg: GlisterConfig
+    select: Callable
+    every: int
+    name: str
+    monitor: Callable | None = None
+
+
+def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, list[int], RunTrace]]:
+    """Select-every-L training shared by every strategy, over a list of runs
+    stepped together; returns (params, subset, trace) per run.
+
+    Epoch t: each run calls ``select(params, rng)`` when t mod its `every`
+    == 0 and sorts the subset; then one `sgd_epoch_stack` call runs one
+    epoch of mini-batch SGD for every run on its subset; then each run is
+    evaluated and gets its own record.  Run i draws selections from the
+    stream SeededRng(seed).split(_SELECT_STREAM + t) and SGD from split(t)
+    of its own seed, so each run's trace is the one it has alone.  The runs
+    must share lr, batch size, loss, architecture and subset size.  `sel_s`
+    times only the run's `select` call; its `monitor` then fills the
+    selection epoch's monitor columns.  `wall_s` is the elapsed time of the
+    whole list, selections included, up to the end of the epoch's SGD.  A
+    ValueError of a selection, or of a run whose parameters go non-finite,
+    is raised with the run's name and the epoch in front of its message.
     """
     if epochs < 1:
         raise ValueError("need at least one epoch")
-    root = SeededRng(cfg.seed)
-    subset: list[int] = []
-    trace = RunTrace(lr=cfg.lr)
+    cfg = runs[0].cfg
+    if any((r.cfg.lr, r.cfg.batch_size, r.cfg.loss) != (cfg.lr, cfg.batch_size, cfg.loss) for r in runs):
+        raise ValueError("the runs of a stack need one lr, batch size and loss")
+    roots = [SeededRng(r.cfg.seed) for r in runs]
+    params = [r.params for r in runs]
+    subsets: list[list[int]] = [[] for _ in runs]
+    held: list[tuple] = [()] * len(runs)  # (rows, labels, digest) of each subset
+    traces = [RunTrace(lr=cfg.lr) for _ in runs]
     start = time.perf_counter()
     for t in range(epochs):
-        sel_s = 0.0
-        columns = None
-        if t % every == 0:
-            t0 = time.perf_counter()
-            subset = sorted(select(params, root.split(_SELECT_STREAM + t)))
-            sel_s = time.perf_counter() - t0
-            # the subset holds until the next selection, and so do these
-            sub_x, sub_y, digest = train.features[subset], train.labels[subset], subset_digest(subset)
-            if monitor is not None:
-                columns = monitor(params, subset)
-        params = sgd_epoch(
-            params, train, subset, cfg.lr, cfg.batch_size, root.split(t), cfg.loss
+        sel_s = [0.0] * len(runs)
+        columns = [None] * len(runs)
+        for i, run in enumerate(runs):
+            if t % run.every == 0:
+                t0 = time.perf_counter()
+                try:
+                    subsets[i] = sorted(run.select(params[i], roots[i].split(_SELECT_STREAM + t)))
+                except ValueError as exc:
+                    raise ValueError(f"{run.name}, epoch {t}: {exc}") from exc
+                sel_s[i] = time.perf_counter() - t0
+                # the subset holds until the next selection, and so do these
+                subset = subsets[i]
+                held[i] = (run.train.features[subset], run.train.labels[subset], subset_digest(subset))
+                if run.monitor is not None:
+                    columns[i] = run.monitor(params[i], subset)
+        params = sgd_epoch_stack(
+            params, [r.train for r in runs], subsets, cfg.lr, cfg.batch_size,
+            [root.split(t) for root in roots], cfg.loss, [f"{r.name}, epoch {t}" for r in runs],
         )
-        rec = EpochRecord(
-            epoch=t,
-            wall_s=time.perf_counter() - start,
-            sel_s=sel_s,
-            train_loss=loss_value(params, sub_x, sub_y, cfg.loss),
-            full_train_loss=loss_value(params, train.features, train.labels, cfg.loss),
-            val_loss=loss_value(params, val.features, val.labels, cfg.loss),
-            test_acc=accuracy(params, test),
-            subset_digest=digest,
-        )
-        if columns is not None:
-            rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = columns
-        trace.records.append(rec)
-    return params, subset, trace
+        wall_s = time.perf_counter() - start
+        for run, p, (sub_x, sub_y, digest), s, cols, trace in zip(
+            runs, params, held, sel_s, columns, traces
+        ):
+            rec = EpochRecord(
+                epoch=t,
+                wall_s=wall_s,
+                sel_s=s,
+                train_loss=loss_value(p, sub_x, sub_y, cfg.loss),
+                full_train_loss=loss_value(p, run.train.features, run.train.labels, cfg.loss),
+                val_loss=loss_value(p, run.val.features, run.val.labels, cfg.loss),
+                test_acc=accuracy(p, run.test),
+                subset_digest=digest,
+            )
+            if cols is not None:
+                rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = cols
+            trace.records.append(rec)
+    return list(zip(params, subsets, traces))
+
+
+def glister_run(
+    train: Dataset,
+    val: Dataset,
+    test: Dataset,
+    model_spec: ModelSpec,
+    cfg: GlisterConfig,
+    name: str = "glister",
+) -> Run:
+    """GLISTER-ONLINE as a `Run`: GreedyDSS reselects the subset every
+    `select_every` epochs (from epoch 0), with the descent monitors on each
+    selection."""
+
+    def select(params, rng):
+        return greedy_dss(train, val, params, cfg, rng=rng)
+
+    return Run(
+        train, val, test, init_model_params(train, model_spec, cfg), cfg, select,
+        cfg.select_every, name, _descent_monitor(train, val, cfg.loss),
+    )
 
 
 def glister_online_train(
@@ -571,17 +628,8 @@ def glister_online_train(
     cfg: GlisterConfig,
     epochs: int,
 ) -> tuple[ModelParams, list[int], RunTrace]:
-    """GLISTER-ONLINE: GreedyDSS reselects the subset every `select_every`
-    epochs (from epoch 0), with the descent monitors on each selection."""
-    params = init_model_params(train, model_spec, cfg)
-
-    def select(params, rng):
-        return greedy_dss(train, val, params, cfg, rng=rng)
-
-    return _selection_loop(
-        train, val, test, params, cfg, epochs, select, cfg.select_every,
-        _descent_monitor(train, val, cfg.loss),
-    )
+    """GLISTER-ONLINE alone: `glister_run` as a list of one."""
+    return _selection_loop([glister_run(train, val, test, model_spec, cfg)], epochs)[0]
 
 
 def monitor_theorem2(trace: RunTrace, tol: float = 1e-7) -> dict:

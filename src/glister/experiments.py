@@ -24,9 +24,10 @@ from .baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subse
 from .core import (
     EpochRecord,
     GlisterConfig,
+    Run,
     RunTrace,
     _selection_loop,
-    glister_online_train,
+    glister_run,
     init_model_params,
 )
 from .data import (
@@ -377,7 +378,7 @@ def build_datasets(data: DataSpec, seed: int):
     return train, val, test, max_norm
 
 
-def run_cell(
+def _cell_run(
     strategy: str,
     train: Dataset,
     val: Dataset,
@@ -385,12 +386,14 @@ def run_cell(
     model_spec: ModelSpec,
     cfg: GlisterConfig,
     epochs: int,
-):
-    """One (strategy, budget, seed) training run; returns (params, subset,
-    trace).  `glister` and `craig` reselect every L epochs, the one-shot
-    strategies select at epoch 0 only, `full` trains on everything."""
+    name: str | None = None,
+) -> Run:
+    """The `Run` of one (strategy, budget, seed) cell.  `glister` and
+    `craig` reselect every L epochs, the one-shot strategies select at
+    epoch 0 only, `full` trains on everything."""
+    name = strategy if name is None else name
     if strategy == "glister":
-        return glister_online_train(train, val, test, model_spec, cfg, epochs)
+        return glister_run(train, val, test, model_spec, cfg, name)
     k = train.n if strategy == "full" else cfg.resolve_k(train.n)
     selectors = {
         "full": lambda params, rng: range(train.n),
@@ -404,7 +407,21 @@ def run_cell(
         raise ValueError(f"unknown strategy {strategy!r}")
     every = cfg.select_every if strategy == "craig" else epochs
     params = init_model_params(train, model_spec, cfg)
-    return _selection_loop(train, val, test, params, cfg, epochs, selectors[strategy], every)
+    return Run(train, val, test, params, cfg, selectors[strategy], every, name)
+
+
+def run_cell(
+    strategy: str,
+    train: Dataset,
+    val: Dataset,
+    test: Dataset,
+    model_spec: ModelSpec,
+    cfg: GlisterConfig,
+    epochs: int,
+):
+    """One (strategy, budget, seed) training run alone; returns (params,
+    subset, trace)."""
+    return _selection_loop([_cell_run(strategy, train, val, test, model_spec, cfg, epochs)], epochs)[0]
 
 
 def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
@@ -429,31 +446,53 @@ def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
 
 
 def _online_cells(config: ExperimentConfig):
-    """(trace file, trace CSV, summary row) per strategy x budget x seed."""
-    for strategy in config.strategies:
-        budgets = [None] if strategy == "full" else config.budgets
-        for b_idx, budget in enumerate(budgets):
-            for seed in config.seeds:
-                run_seed = derive_run_seed(seed, strategy, b_idx)
-                train, val, test, max_norm = config.datasets[seed]
-                cfg = replace(
-                    config.selection, seed=run_seed, budget_frac=1.0 if budget is None else budget
-                )
-                _, _, trace = run_cell(strategy, train, val, test, config.model, cfg, config.epochs)
-                tag = "full" if budget is None else _budget_tag(budget)
-                last = trace.records[-1]
-                yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
-                    "strategy": strategy,
-                    "budget": budget,
-                    "seed": seed,
-                    "run_seed": run_seed,
-                    "final_test_acc": last.test_acc,
-                    "final_val_loss": last.val_loss,
-                    "total_wall_s": last.wall_s,
-                    "total_sel_s": sum(r.sel_s for r in trace.records),
-                    "subset_digest": last.subset_digest,
-                    "max_row_norm": max_norm,
-                }
+    """(trace file, trace CSV, summary row) per strategy x budget x seed, in
+    that order.  The cells of one (budget, seed) share the subset size, lr,
+    batch size, loss and model, so they train in lockstep: one
+    `_selection_loop` over their runs.  `full` trains on every row, so its
+    cell of each seed is a group of its own.  A group runs when its first
+    cell is due; its other cells wait for their turn in the order."""
+    cells = [
+        (strategy, b_idx, budget, seed)
+        for strategy in config.strategies
+        for b_idx, budget in enumerate([None] if strategy == "full" else config.budgets)
+        for seed in config.seeds
+    ]
+    traces = {}
+    for cell in cells:
+        if cell not in traces:
+            group = [c for c in cells if c[2:] == cell[2:]]
+            runs = [_group_run(config, *c) for c in group]
+            traces.update(zip(group, (trace for _, _, trace in _selection_loop(runs, config.epochs))))
+        strategy, b_idx, budget, seed = cell
+        trace = traces.pop(cell)
+        tag = "full" if budget is None else _budget_tag(budget)
+        last = trace.records[-1]
+        yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
+            "strategy": strategy,
+            "budget": budget,
+            "seed": seed,
+            "run_seed": derive_run_seed(seed, strategy, b_idx),
+            "final_test_acc": last.test_acc,
+            "final_val_loss": last.val_loss,
+            "total_wall_s": last.wall_s,
+            "total_sel_s": sum(r.sel_s for r in trace.records),
+            "subset_digest": last.subset_digest,
+            "max_row_norm": config.datasets[seed][3],
+        }
+
+
+def _group_run(config: ExperimentConfig, strategy: str, b_idx: int, budget, seed: int) -> Run:
+    """The run of one `glister run` cell, on its seed's datasets and with
+    its derived run seed."""
+    train, val, test, _ = config.datasets[seed]
+    cfg = replace(
+        config.selection,
+        seed=derive_run_seed(seed, strategy, b_idx),
+        budget_frac=1.0 if budget is None else budget,
+    )
+    name = f"strategy {strategy!r}, budget {budget}, seed {seed}"
+    return _cell_run(strategy, train, val, test, config.model, cfg, config.epochs, name)
 
 
 def _active_cells(config: ExperimentConfig):

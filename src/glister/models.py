@@ -30,6 +30,7 @@ __all__ = [
     "last_layer_per_sample_grads",
     "last_layer_rows",
     "sgd_epoch",
+    "sgd_epoch_stack",
     "hypothesized_labels",
     "accuracy",
     "output_width",
@@ -153,7 +154,8 @@ def _forward_layers(layers, activation: str, x: np.ndarray) -> list:
     """`_forward_cached` on raw (W, b) pairs, with no shape check: the input
     followed by each layer's output, the ReLU applied in place.  A ReLU
     output is positive exactly where its pre-activation is, so backprop
-    needs nothing else."""
+    needs nothing else.  A stack of runs is the same call on x (S, n, d)
+    with W (S, d, H) and b (S, 1, H): every product is one matmul per run."""
     acts = [x]
     for li, (w, b) in enumerate(layers):
         h = x @ w
@@ -228,37 +230,37 @@ def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
 
 
 def _targets(y: np.ndarray, kind: LossKind, width: int) -> np.ndarray:
-    """Checked labels encoded for `_logit_grads`: one-hot rows (n, width)
-    for cross-entropy, -1/+1 signs (n,) for the margin losses."""
+    """Checked labels encoded for `_logit_grads`, one row per label: one-hot
+    rows (n, width) for cross-entropy, a column of -1/+1 signs (n, 1) for
+    the margin losses.  A stack of runs stacks these along a new first axis."""
     if kind == LossKind.CROSS_ENTROPY:
         onehot = np.zeros((len(y), width))
         onehot[np.arange(len(y)), y] = 1.0
         return onehot
-    return _signs(y)
+    return _signs(y)[:, None]
 
 
 def _logit_grads(z: np.ndarray, t: np.ndarray, kind: LossKind) -> np.ndarray:
     """`logit_grads` from `_targets` rows, with no label check.  The softmax
     runs in place on the shifted logits; subtracting a one-hot row is the
     same IEEE operation as subtracting 1 at the label and leaves every other
-    entry as it is."""
+    entry as it is.  Stacked logits (S, n, C) take stacked targets."""
     if kind == LossKind.CROSS_ENTROPY:
-        p = z - z.max(axis=1, keepdims=True)
+        p = z - z.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=-1, keepdims=True)
         p -= t
         return p
-    f = z[:, 0]
-    m = t * f
+    m = t * z  # margin losses have one score column
     if kind == LossKind.LOGISTIC:
         dm = -1.0 / (1.0 + np.exp(m))  # -sigmoid(-m)
-        return (t * dm)[:, None]
+        return t * dm
     if kind == LossKind.SQUARED:
-        return (2.0 * (f - t))[:, None]
+        return 2.0 * (z - t)
     if kind == LossKind.HINGE:
-        return (-t * (m < 1.0))[:, None]
+        return -t * (m < 1.0)
     if kind == LossKind.PERCEPTRON:
-        return (-t * (m < 0.0))[:, None]
+        return -t * (m < 0.0)
     raise ValueError(f"unknown loss kind {kind}")
 
 
@@ -270,15 +272,22 @@ def grad_full(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind)
     return _backprop(params.layers, params.activation, acts, logit_grads(acts[-1], y, kind))
 
 
-def _backprop(layers, activation: str, acts: list, delta: np.ndarray):
+def _backprop(layers, activation: str, acts: list, delta: np.ndarray, out=None):
     """Per-layer (dW, db) of the summed loss from `_forward_layers` outputs
     over raw (W, b) pairs and the logit gradients delta; `grad_full` and
-    `sgd_epoch` share it."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    `sgd_epoch_stack` share it, the latter with a leading stack axis and
+    with `out`, a list of (dW, db) arrays shaped like `layers` that receive
+    the gradients.  Each db takes its bias's shape: (H,), or (1, H) and
+    (S, 1, H) with a row axis."""
+    grads = [(None, None)] * len(layers) if out is None else out
     for li in range(len(layers) - 1, -1, -1):
-        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
+        gw, gb = grads[li]
+        grads[li] = (
+            np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw),
+            np.add.reduce(delta, axis=-2, keepdims=layers[li][1].ndim > 1, out=gb),
+        )
         if li > 0:
-            delta = delta @ layers[li][0].T
+            delta = delta @ layers[li][0].swapaxes(-1, -2)
             if activation == "relu":
                 delta *= acts[li] > 0.0
     return grads
@@ -315,35 +324,100 @@ def sgd_epoch(
     rng: SeededRng,
     kind: LossKind = LossKind.CROSS_ENTROPY,
 ) -> ModelParams:
-    """One pass of mini-batch SGD over the seeded-shuffled subset.
-
+    """One pass of mini-batch SGD over the seeded-shuffled subset: the
+    stack of one of `sgd_epoch_stack`, which holds the one implementation.
     Each batch takes a step of lr times the summed batch gradient; the input
-    params are left unmodified.  The epoch gathers the shuffled rows, checks
-    their labels and encodes them once; each batch then reads contiguous
-    slices and steps a private copy of the (W, b) arrays in place
-    (`gw *= lr; w -= gw` rounds exactly as `w - lr * gw`).  The result is
-    validated (shapes, finiteness) once, at the end of the epoch.
+    params are left unmodified."""
+    return sgd_epoch_stack([params], [ds], [subset], lr, batch_size, [rng], kind)[0]
+
+
+def sgd_epoch_stack(
+    params,
+    datasets,
+    subsets,
+    lr: float,
+    batch_size: int,
+    rngs,
+    kind: LossKind = LossKind.CROSS_ENTROPY,
+    names=None,
+) -> list[ModelParams]:
+    """One SGD epoch for each of S independent runs, stepped together.
+
+    Run i shuffles `subsets[i]` with `rngs[i]` and trains `params[i]` on
+    those rows of `datasets[i]`, exactly as it would alone: the stack only
+    shares the numpy calls.  Every run needs the same architecture and a
+    subset of the same size, so that batch j of every run is one
+    (S, batch, ·) slice.  The epoch gathers each run's shuffled rows, checks
+    their labels and encodes them once, and copies every run's (W, b) arrays
+    into one row `theta[i]` of a private buffer.  Each batch writes the
+    gradients into the views of a buffer of the same shape and steps every
+    parameter of every run with one `grad *= lr; theta -= grad`, which
+    rounds exactly as `w - lr * gw` does.  A stacked matmul makes one BLAS
+    call per run, the same call as the run's own 2-D product, so every run's
+    parameters are bit for bit those of a stack of one.  Each result is
+    validated (shapes, finiteness) once, at the end of the epoch; a
+    non-finite run raises the `ModelParams` ValueError prefixed with its
+    entry of `names`.
     """
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
+    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    size = subsets[0].size
+    if size == 0:
         raise ValueError("empty subset")
+    if any(s.size != size for s in subsets):
+        raise ValueError("the runs of a stack need subsets of one size")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
-    if ds.features.shape[1] != params.input_dim:
-        raise ValueError("input width does not match first layer")
-    order = rng.shuffle(subset)
-    x = ds.features[order]
-    t = _targets(_check_labels(ds.labels[order], kind, params.out_dim), kind, params.out_dim)
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
-    for start in range(0, len(order), batch_size):
-        acts = _forward_layers(layers, params.activation, x[start:start + batch_size])
-        delta = _logit_grads(acts[-1], t[start:start + batch_size], kind)
-        for (w, b), (gw, gb) in zip(layers, _backprop(layers, params.activation, acts, delta)):
-            gw *= lr
-            w -= gw
-            gb *= lr
-            b -= gb
-    return ModelParams(tuple(layers), params.activation)
+    first = params[0]
+    shapes = [w.shape for w, _ in first.layers]
+    for p, ds in zip(params, datasets):
+        if p.activation != first.activation or [w.shape for w, _ in p.layers] != shapes:
+            raise ValueError("the runs of a stack need one architecture")
+        if ds.features.shape[1] != p.input_dim:
+            raise ValueError("input width does not match first layer")
+    orders = [rng.shuffle(s) for rng, s in zip(rngs, subsets)]
+    x = np.array([ds.features[o] for ds, o in zip(datasets, orders)])
+    t = np.array([
+        _targets(_check_labels(ds.labels[o], kind, first.out_dim), kind, first.out_dim)
+        for ds, o in zip(datasets, orders)
+    ])
+    theta = np.array([np.concatenate([a.ravel() for layer in p.layers for a in layer]) for p in params])
+    grad = np.empty_like(theta)
+    stacked = _layer_views(theta, shapes)
+    layers, grads = stacked, _layer_views(grad, shapes)
+    if len(params) == 1:
+        # a stack of one steps 2-D views: the same products without the
+        # per-call cost of a stack axis, which tiny batches feel
+        x, t = x[0], t[0]
+        layers, grads = ([(w[0], b[0]) for w, b in views] for views in (layers, grads))
+    for start in range(0, size, batch_size):
+        stop = start + batch_size
+        acts = _forward_layers(layers, first.activation, x[..., start:stop, :])
+        delta = _logit_grads(acts[-1], t[..., start:stop, :], kind)
+        _backprop(layers, first.activation, acts, delta, out=grads)
+        grad *= lr
+        theta -= grad
+    out = []
+    for i in range(len(params)):
+        try:
+            out.append(ModelParams(tuple((w[i], b[i, 0]) for w, b in stacked), first.activation))
+        except ValueError as exc:
+            if names is None:
+                raise
+            raise ValueError(f"{names[i]}: {exc}") from None
+    return out
+
+
+def _layer_views(flat: np.ndarray, shapes) -> list:
+    """(W, b) views into the rows of `flat`, one run per row, for weight
+    shapes `shapes`: W (S, d, H), then b (S, 1, H), whose row axis
+    broadcasts over a batch."""
+    views, at = [], 0
+    for d, h in shapes:
+        w = flat[:, at:at + d * h].reshape((len(flat), d, h), copy=False)
+        at += d * h
+        views.append((w, flat[:, None, at:at + h]))
+        at += h
+    return views
 
 
 def hypothesized_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:

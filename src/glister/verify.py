@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     GlisterConfig,
+    _selection_loop,
     _train_epochs,
     exact_gain,
     glister_online_train,
@@ -647,8 +648,10 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     and traces (timing columns excluded, as wall-clock is physical), for
     glister and for a baseline that reselects (craig), and bit-identical
     parameters from one SGD epoch, so a BLAS or numpy build that breaks the
-    reproducibility of the in-place step shows here."""
-    from .experiments import run_cell, trace_to_csv
+    reproducibility of the in-place step shows here.  Cells stepped in
+    lockstep must give the traces they give alone, so a build whose stacked
+    products differ from the per-run ones shows here too."""
+    from .experiments import _cell_run, run_cell, trace_to_csv
 
     checks = []
     full = gen_synthetic("separable-2", 100, seed + 3)
@@ -664,6 +667,12 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     c0, c1 = (strip_timing(trace_to_csv(run_cell("craig", train, val, test, spec, cfg, 12)[2]))
               for _ in range(2))
     checks.append(Check("craig traces bit-identical outside timing columns", c0 == c1))
+    strategies = ("glister", "craig", "random")
+    solo = [t0, c0, strip_timing(trace_to_csv(run_cell("random", train, val, test, spec, cfg, 12)[2]))]
+    lockstep = _selection_loop([_cell_run(s, train, val, test, spec, cfg, 12) for s in strategies], 12)
+    same = [strip_timing(trace_to_csv(trace)) == alone for (_, _, trace), alone in zip(lockstep, solo)]
+    checks.append(Check("lockstep cells match solo runs", all(same),
+                        ", ".join(s for s, ok in zip(strategies, same) if not ok)))
     params = init_model_params(train, spec, cfg)
     sels = [greedy_dss(train, val, params, cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))

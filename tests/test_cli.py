@@ -462,6 +462,7 @@ def test_verify_determinism_suite(capsys):
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
     assert "sgd_epoch parameters bit-identical" in out
+    assert "lockstep cells match solo runs" in out
 
 
 def test_verify_json_matches_text(capsys):

@@ -16,6 +16,7 @@ from glister.models import (
     loss_value,
     output_width,
     sgd_epoch,
+    sgd_epoch_stack,
 )
 from glister.numerics import SeededRng, finite_diff_grad
 
@@ -263,6 +264,73 @@ def test_sgd_epoch_edge_cases_match_per_batch_grad_full(kind, arch, size, batch_
     _assert_same_params(got, want)
     if lr == 0.0:
         _assert_same_params(got, params)
+
+
+STACK_DATA = ("separable-2", "binary-slack")
+
+
+def _stack_instance(kind, arch, runs, seed):
+    """`runs` runs on two-class data drawn from alternating generators and
+    seeds, each with its own initial parameters, subset and shuffle seed."""
+    dims = ModelSpec(arch, hidden=5).layer_dims(2, output_width(kind, 2))
+    datasets = [gen_synthetic(STACK_DATA[i % 2], 15 + 3 * i, seed=seed + i) for i in range(runs)]
+    params = [init_params(dims, "relu", SeededRng(seed + 10 * i)) for i in range(runs)]
+    return datasets, params
+
+
+@pytest.mark.parametrize("arch", ["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ALL_LOSSES)
+@pytest.mark.parametrize("runs", [1, 2, 5])
+@pytest.mark.parametrize(
+    "size,batch_size",
+    [
+        pytest.param(23, 5, id="ragged-last-batch"),
+        pytest.param(9, 50, id="batch-larger-than-subset"),
+        pytest.param(20, 4, id="whole-batches"),
+    ],
+)
+def test_sgd_epoch_stack_matches_each_run_alone(kind, arch, runs, size, batch_size):
+    datasets, params = _stack_instance(kind, arch, runs, seed=runs + size)
+    subsets = [SeededRng(40 + i).sample(np.arange(ds.n), size) for i, ds in enumerate(datasets)]
+    got = list(params)
+    want = list(params)
+    for t in range(2):
+        rngs = [SeededRng(7 + i).split(t) for i in range(runs)]
+        got = sgd_epoch_stack(got, datasets, subsets, 0.05, batch_size, rngs, kind)
+        want = [
+            reference_sgd_epoch(p, ds, s, 0.05, batch_size, SeededRng(7 + i).split(t), kind)
+            for i, (p, ds, s) in enumerate(zip(want, datasets, subsets))
+        ]
+    assert len(got) == runs
+    for g, w in zip(got, want):
+        _assert_same_params(g, w)
+
+
+def test_sgd_epoch_stack_rejects_subsets_of_different_sizes():
+    datasets, params = _stack_instance(LossKind.CROSS_ENTROPY, "mlp", 2, seed=1)
+    with pytest.raises(ValueError, match="one size"):
+        sgd_epoch_stack(params, datasets, [[0, 1, 2], [0, 1]], 0.01, 2,
+                        [SeededRng(1), SeededRng(2)])
+
+
+def test_sgd_epoch_stack_rejects_mixed_architectures():
+    ds = gen_synthetic("separable-2", 10, seed=1)
+    params = [init_params([2, 3, 2], "relu", SeededRng(0)), init_params([2, 4, 2], "relu", SeededRng(0))]
+    with pytest.raises(ValueError, match="architecture"):
+        sgd_epoch_stack(params, [ds, ds], [[0, 1], [2, 3]], 0.01, 2, [SeededRng(1), SeededRng(2)])
+
+
+def test_sgd_epoch_stack_names_the_run_that_diverged():
+    """A run that goes non-finite raises the `ModelParams` error, prefixed
+    with its name; the finite run beside it neither hides it nor is named."""
+    ds = gen_synthetic("separable-2", 20, seed=1)
+    tame = init_params([2, 1], "identity", SeededRng(0))
+    wild = ModelParams(((tame.layers[0][0] * 1e306, tame.layers[0][1]),))
+    rows = list(range(ds.n))
+    sgd_epoch(tame, ds, rows, 1.0, 4, SeededRng(1), LossKind.SQUARED)  # finite alone
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^run b: parameters must be finite"):
+        sgd_epoch_stack([tame, wild], [ds, ds], [rows, rows], 1.0, 4,
+                        [SeededRng(1), SeededRng(1)], LossKind.SQUARED, names=["run a", "run b"])
 
 
 def test_sgd_epoch_leaves_input_params_unchanged():

@@ -461,6 +461,7 @@ class EpochRecord:
 class RunTrace:
     records: list[EpochRecord] = field(default_factory=list)
     lr: float = math.nan  # carried for the monitors
+    sgd_s: float = 0.0  # elapsed time of the run's SGD epochs, shared by its stack
 
     def selection_records(self) -> list[EpochRecord]:
         return [r for r in self.records if r.dot_vt is not None]
@@ -544,7 +545,8 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     must share lr, batch size, loss, architecture and subset size.  `sel_s`
     times only the run's `select` call; its `monitor` then fills the
     selection epoch's monitor columns.  `wall_s` is the elapsed time of the
-    whole list, selections included, up to the end of the epoch's SGD.  A
+    whole list, selections included, up to the end of the epoch's SGD; the
+    trace's `sgd_s` sums the elapsed time of the stacked SGD calls alone.  A
     ValueError of a selection, or of a run whose parameters go non-finite,
     is raised with the run's name and the epoch in front of its message.
     """
@@ -575,11 +577,13 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
                 held[i] = (run.train.features[subset], run.train.labels[subset], subset_digest(subset))
                 if run.monitor is not None:
                     columns[i] = run.monitor(params[i], subset)
+        t0 = time.perf_counter()
         params = sgd_epoch_stack(
             params, [r.train for r in runs], subsets, cfg.lr, cfg.batch_size,
             [root.split(t) for root in roots], cfg.loss, [f"{r.name}, epoch {t}" for r in runs],
         )
-        wall_s = time.perf_counter() - start
+        end = time.perf_counter()
+        wall_s = end - start
         for run, p, (sub_x, sub_y, digest), s, cols, trace in zip(
             runs, params, held, sel_s, columns, traces
         ):
@@ -596,6 +600,7 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
             if cols is not None:
                 rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = cols
             trace.records.append(rec)
+            trace.sgd_s += end - t0
     return list(zip(params, subsets, traces))
 
 

@@ -425,10 +425,10 @@ def run_cell(
 
 
 def _write_runs(config: ExperimentConfig, cells) -> list[dict]:
-    """Write each cell's trace file as the cell finishes, then summary.json
-    with one row per cell; returns the rows.  summary.json is written to a
-    temp file that then replaces it, so a failed write leaves the previous
-    summary whole."""
+    """Write each cell's trace file when its turn in the summary order
+    comes, then summary.json with one row per cell; returns the rows.
+    summary.json is written to a temp file that then replaces it, so a
+    failed write leaves the previous summary whole."""
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -451,48 +451,49 @@ def _online_cells(config: ExperimentConfig):
     batch size, loss and model, so they train in lockstep: one
     `_selection_loop` over their runs.  `full` trains on every row, so its
     cell of each seed is a group of its own.  A group runs when its first
-    cell is due; its other cells wait for their turn in the order."""
+    cell is due; its other cells wait for their turn in the order.  A row's
+    `total_wall_s` is its group's clock; `total_train_s` is the cell's own
+    selection time plus the elapsed time of its group's SGD epochs."""
     cells = [
         (strategy, b_idx, budget, seed)
         for strategy in config.strategies
         for b_idx, budget in enumerate([None] if strategy == "full" else config.budgets)
         for seed in config.seeds
     ]
-    traces = {}
+    done = {}  # cell -> (run, trace)
     for cell in cells:
-        if cell not in traces:
+        if cell not in done:
             group = [c for c in cells if c[2:] == cell[2:]]
-            runs = [_group_run(config, *c) for c in group]
-            traces.update(zip(group, (trace for _, _, trace in _selection_loop(runs, config.epochs))))
-        strategy, b_idx, budget, seed = cell
-        trace = traces.pop(cell)
+            runs = []
+            for strategy, b_idx, budget, seed in group:
+                train, val, test, _ = config.datasets[seed]
+                cfg = replace(
+                    config.selection,
+                    seed=derive_run_seed(seed, strategy, b_idx),
+                    budget_frac=1.0 if budget is None else budget,
+                )
+                name = f"strategy {strategy!r}, budget {budget}, seed {seed}"
+                runs.append(_cell_run(strategy, train, val, test, config.model, cfg, config.epochs, name))
+            results = _selection_loop(runs, config.epochs)
+            done.update((c, (run, trace)) for c, run, (_, _, trace) in zip(group, runs, results))
+        strategy, _, budget, seed = cell
+        run, trace = done.pop(cell)
         tag = "full" if budget is None else _budget_tag(budget)
         last = trace.records[-1]
+        total_sel_s = sum(r.sel_s for r in trace.records)
         yield f"trace_{strategy}_{tag}_s{seed}.csv", trace_to_csv(trace), {
             "strategy": strategy,
             "budget": budget,
             "seed": seed,
-            "run_seed": derive_run_seed(seed, strategy, b_idx),
+            "run_seed": run.cfg.seed,
             "final_test_acc": last.test_acc,
             "final_val_loss": last.val_loss,
             "total_wall_s": last.wall_s,
-            "total_sel_s": sum(r.sel_s for r in trace.records),
+            "total_sel_s": total_sel_s,
+            "total_train_s": total_sel_s + trace.sgd_s,
             "subset_digest": last.subset_digest,
             "max_row_norm": config.datasets[seed][3],
         }
-
-
-def _group_run(config: ExperimentConfig, strategy: str, b_idx: int, budget, seed: int) -> Run:
-    """The run of one `glister run` cell, on its seed's datasets and with
-    its derived run seed."""
-    train, val, test, _ = config.datasets[seed]
-    cfg = replace(
-        config.selection,
-        seed=derive_run_seed(seed, strategy, b_idx),
-        budget_frac=1.0 if budget is None else budget,
-    )
-    name = f"strategy {strategy!r}, budget {budget}, seed {seed}"
-    return _cell_run(strategy, train, val, test, config.model, cfg, config.epochs, name)
 
 
 def _active_cells(config: ExperimentConfig):

@@ -382,24 +382,18 @@ def sgd_epoch_stack(
     ])
     theta = np.array([np.concatenate([a.ravel() for layer in p.layers for a in layer]) for p in params])
     grad = np.empty_like(theta)
-    stacked = _layer_views(theta, shapes)
-    layers, grads = stacked, _layer_views(grad, shapes)
-    if len(params) == 1:
-        # a stack of one steps 2-D views: the same products without the
-        # per-call cost of a stack axis, which tiny batches feel
-        x, t = x[0], t[0]
-        layers, grads = ([(w[0], b[0]) for w, b in views] for views in (layers, grads))
+    layers, grads = _layer_views(theta, shapes), _layer_views(grad, shapes)
     for start in range(0, size, batch_size):
         stop = start + batch_size
-        acts = _forward_layers(layers, first.activation, x[..., start:stop, :])
-        delta = _logit_grads(acts[-1], t[..., start:stop, :], kind)
+        acts = _forward_layers(layers, first.activation, x[:, start:stop])
+        delta = _logit_grads(acts[-1], t[:, start:stop], kind)
         _backprop(layers, first.activation, acts, delta, out=grads)
         grad *= lr
         theta -= grad
     out = []
     for i in range(len(params)):
         try:
-            out.append(ModelParams(tuple((w[i], b[i, 0]) for w, b in stacked), first.activation))
+            out.append(ModelParams(tuple((w[i], b[i, 0]) for w, b in layers), first.activation))
         except ValueError as exc:
             if names is None:
                 raise
@@ -410,10 +404,11 @@ def sgd_epoch_stack(
 def _layer_views(flat: np.ndarray, shapes) -> list:
     """(W, b) views into the rows of `flat`, one run per row, for weight
     shapes `shapes`: W (S, d, H), then b (S, 1, H), whose row axis
-    broadcasts over a batch."""
+    broadcasts over a batch.  Splitting the contiguous last axis of a
+    column slice is always a view, so the steps write into `flat`."""
     views, at = [], 0
     for d, h in shapes:
-        w = flat[:, at:at + d * h].reshape((len(flat), d, h), copy=False)
+        w = flat[:, at:at + d * h].reshape((len(flat), d, h))
         at += d * h
         views.append((w, flat[:, None, at:at + h]))
         at += h

@@ -133,7 +133,8 @@ def test_run_summary_matches_trace_final_row(tmp_path):
     row = summary[0]
     assert list(row) == [
         "strategy", "budget", "seed", "run_seed", "final_test_acc", "final_val_loss",
-        "total_wall_s", "total_sel_s", "subset_digest", "max_row_norm", "trace_file",
+        "total_wall_s", "total_sel_s", "total_train_s", "subset_digest", "max_row_norm",
+        "trace_file",
     ]
     text = (out / row["trace_file"]).read_text()
     assert text.splitlines()[0] == (
@@ -145,6 +146,7 @@ def test_run_summary_matches_trace_final_row(tmp_path):
     assert row["final_test_acc"] == last.test_acc
     assert row["final_val_loss"] == last.val_loss
     assert row["total_wall_s"] == last.wall_s
+    assert row["total_train_s"] >= row["total_sel_s"]
     assert row["subset_digest"] == last.subset_digest
 
 

@@ -69,7 +69,8 @@ def test_lockstep_cells_match_run_cell_alone(tmp_path):
         written = (config.output_dir / row["trace_file"]).read_text()
         assert strip_timing(written) == strip_timing(alone), row["trace_file"]
         last = trace.records[-1]
-        assert {k: v for k, v in row.items() if k not in ("total_wall_s", "total_sel_s")} == {
+        timing = ("total_wall_s", "total_sel_s", "total_train_s")
+        assert {k: v for k, v in row.items() if k not in timing} == {
             "strategy": strategy,
             "budget": budget,
             "seed": seed,
@@ -84,9 +85,16 @@ def test_lockstep_cells_match_run_cell_alone(tmp_path):
 
 def test_lockstep_wall_clock_is_the_groups(tmp_path):
     """The cells of one (budget, seed) share one clock, so their records
-    carry the same `wall_s`; `full` keeps its own."""
+    carry the same `wall_s`; `full` keeps its own.  Each row's
+    `total_train_s` adds the cell's own selection time to its group's SGD
+    time."""
     config = _config(tmp_path, strategies=["full", "random", "glister"], budgets=[0.3], seeds=[1])
-    run_experiment(config)
+    rows = {row["strategy"]: row for row in run_experiment(config)}
+    sgd_s = {s: row["total_train_s"] - row["total_sel_s"] for s, row in rows.items()}
+    assert all(v > 0 for v in sgd_s.values())
+    assert sgd_s["random"] == pytest.approx(sgd_s["glister"], rel=1e-9)
+    # glister's greedy selection takes longer than a random draw
+    assert rows["glister"]["total_train_s"] > rows["random"]["total_train_s"]
     walls = {
         name: [line.split(",")[1] for line in (config.output_dir / name).read_text().splitlines()[1:]]
         for name in ("trace_random_b30_s1.csv", "trace_glister_b30_s1.csv", "trace_full_full_s1.csv")

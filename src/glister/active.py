@@ -1,12 +1,14 @@
 """Batch active learning over an unlabeled pool with hypothesized labels.
 
-Scoring never reads the true label of an unlabeled point: selection runs on
-model-predicted labels, and ground truth is read only at the reveal step
-after a batch is chosen.
+Neither selection nor the round metrics read the true label of an unlabeled
+point: selection runs on model-predicted labels, the metrics on the
+validation and test sets, and ground truth is read only when a chosen batch
+is revealed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -14,8 +16,9 @@ import numpy as np
 
 from .core import (
     GlisterConfig,
+    Run,
     _SELECT_STREAM,
-    _train_epochs,
+    _selection_loop,
     greedy_dss,
     init_model_params,
     subset_digest,
@@ -39,6 +42,8 @@ __all__ = [
     "ActiveTrace",
     "random_acquire",
     "fass_acquire",
+    "active_run",
+    "train_active",
     "run_active",
     "ACQUIRE_STRATEGIES",
 ]
@@ -155,40 +160,34 @@ def fass_acquire(
     return sorted(int(cand[p]) for p in picked)
 
 
-def run_active(
-    strategy: str,
-    pool: Dataset,
-    val: Dataset,
-    test: Dataset,
-    initial,
-    model_spec: ModelSpec,
-    cfg: GlisterConfig,
-    rounds: int,
-    batch: int,
-    epochs_per_round: int,
-    filter_mult: float = FILTER_MULT,
-) -> tuple[ModelParams, PoolState, ActiveTrace]:
-    """Shared acquisition loop: per round, train on the labeled set
-    (continuing from the previous parameters), acquire a batch of `batch`
-    rows from the unlabeled pool, reveal it, and finish with one more
-    training pass after the last round.  `batch` is the selection budget
-    (it replaces `cfg.k`)."""
+def active_run(
+    strategy: str, pool: Dataset, val: Dataset, test: Dataset, initial, model_spec: ModelSpec,
+    cfg: GlisterConfig, rounds: int, batch: int, epochs_per_round: int, filter_mult: float = FILTER_MULT,
+) -> tuple[Run, PoolState, ActiveTrace]:
+    """Batch active learning as a `Run` whose subset is the labeled set, for
+    (rounds + 1) * epochs_per_round epochs.  It first selects the seed
+    labels; at epoch (r + 1) * epochs_per_round it acquires batch r of
+    `batch` rows (the budget in place of `cfg.k`; drawn from
+    SeededRng(cfg.seed).split(_SELECT_STREAM + r)), reveals it and appends
+    the round, with metrics at the parameters trained so far.  It keeps no
+    per-epoch records, which would read unrevealed labels."""
     if strategy not in ACQUIRE_STRATEGIES:
         raise ValueError(f"unknown acquisition strategy {strategy!r}")
     if rounds < 1:
         raise ValueError("need at least one round")
     state = PoolState(pool.n, initial)
+    if len(state.labeled) + rounds * batch > pool.n:
+        raise ValueError("unlabeled pool exhausted")
     select_cfg = replace(cfg, k=batch)
     root = SeededRng(cfg.seed)
-    params = init_model_params(pool, model_spec, cfg)
     trace = ActiveTrace()
-    for r in range(rounds):
+    round_of_call = itertools.count(-1)
+
+    def select(params, _):
+        r = next(round_of_call)
+        if r < 0:
+            return state.labeled
         unl = state.unlabeled
-        if batch > len(unl):
-            raise ValueError("unlabeled pool exhausted")
-        params = _train_epochs(
-            params, pool, state.labeled, cfg, epochs_per_round, root, r * epochs_per_round
-        )
         rng = root.split(_SELECT_STREAM + r)
         # the acquirers are module names looked up per call, so patching one
         # (as perfbench's timer does) takes effect here
@@ -203,18 +202,36 @@ def run_active(
             chosen = np.sort(unl[picked]).tolist()
         # reveal: true labels of `chosen` become visible from here on
         state.acquire(chosen)
-        trace.rounds.append(
-            ActiveRound(
-                round=r + 1,
-                labeled_count=len(state.labeled),
-                val_loss=loss_value(params, val.features, val.labels, cfg.loss),
-                test_acc=accuracy(params, test),
-                batch_digest=subset_digest(chosen),
-            )
-        )
-    params = _train_epochs(
-        params, pool, state.labeled, cfg, epochs_per_round, root, rounds * epochs_per_round
+        trace.rounds.append(ActiveRound(
+            round=r + 1, labeled_count=len(state.labeled),
+            val_loss=loss_value(params, val.features, val.labels, cfg.loss),
+            test_acc=accuracy(params, test), batch_digest=subset_digest(chosen),
+        ))
+        return state.labeled
+
+    params = init_model_params(pool, model_spec, cfg)
+    run = Run(pool, val, test, params, cfg, select, epochs_per_round, strategy, record=False)
+    return run, state, trace
+
+
+def train_active(actives, epochs: int) -> list[ModelParams]:
+    """Step the (run, state, trace) of each `active_run` together for
+    `epochs` epochs; sets each trace's final metrics and returns each run's
+    final parameters."""
+    results = _selection_loop([run for run, _, _ in actives], epochs)
+    for (run, _, trace), (params, _, _) in zip(actives, results):
+        trace.final_val_loss = loss_value(params, run.val.features, run.val.labels, run.cfg.loss)
+        trace.final_test_acc = accuracy(params, run.test)
+    return [params for params, _, _ in results]
+
+
+def run_active(
+    strategy: str, pool: Dataset, val: Dataset, test: Dataset, initial, model_spec: ModelSpec,
+    cfg: GlisterConfig, rounds: int, batch: int, epochs_per_round: int, filter_mult: float = FILTER_MULT,
+) -> tuple[ModelParams, PoolState, ActiveTrace]:
+    """One active run alone, `active_run` as a list of one: per round, train
+    on the labeled set, acquire a batch and reveal it; then train once more."""
+    run, state, trace = active_run(
+        strategy, pool, val, test, initial, model_spec, cfg, rounds, batch, epochs_per_round, filter_mult
     )
-    trace.final_val_loss = loss_value(params, val.features, val.labels, cfg.loss)
-    trace.final_test_acc = accuracy(params, test)
-    return params, state, trace
+    return train_active([(run, state, trace)], (rounds + 1) * epochs_per_round)[0], state, trace

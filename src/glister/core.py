@@ -41,7 +41,6 @@ from .models import (
     logit_grads,
     loss_value,
     output_width,
-    sgd_epoch,
     sgd_epoch_stack,
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
@@ -504,22 +503,14 @@ def _descent_monitor(train: Dataset, val: Dataset, kind: LossKind):
     return monitor
 
 
-def _train_epochs(params, train, subset, cfg, epochs, rng_root, offset):
-    """`epochs` epochs of mini-batch SGD on a fixed subset; epoch t shuffles
-    with rng_root.split(offset + t)."""
-    for t in range(epochs):
-        params = sgd_epoch(
-            params, train, subset, cfg.lr, cfg.batch_size, rng_root.split(offset + t), cfg.loss
-        )
-    return params
-
-
 @dataclass(frozen=True)
 class Run:
     """One run of the select-every-L loop: its data, starting parameters,
     config (seed, lr, batch size, loss), selector ``select(params, rng)``,
-    selection period `every`, the `name` its errors carry, and an optional
-    `monitor(params, subset)` of the selection epochs' monitor columns."""
+    selection period `every`, the `name` its errors carry, an optional
+    `monitor(params, subset)` of the selection epochs' monitor columns, and
+    whether it keeps per-epoch `record`s (one that keeps none reads no
+    label outside its subset)."""
 
     train: Dataset
     val: Dataset
@@ -530,6 +521,7 @@ class Run:
     every: int
     name: str
     monitor: Callable | None = None
+    record: bool = True
 
 
 def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, list[int], RunTrace]]:
@@ -541,8 +533,9 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     epoch of mini-batch SGD for every run on its subset; then each run is
     evaluated and gets its own record.  Run i draws selections from the
     stream SeededRng(seed).split(_SELECT_STREAM + t) and SGD from split(t)
-    of its own seed, so each run's trace is the one it has alone.  The runs
-    must share lr, batch size, loss, architecture and subset size.  `sel_s`
+    of its own seed, so each run's trace is the one it has alone (none
+    unless `record`).  The runs must share lr, batch size, loss,
+    architecture and subset size.  `sel_s`
     times only the run's `select` call; its `monitor` then fills the
     selection epoch's monitor columns.  `wall_s` is the elapsed time of the
     whole list, selections included, up to the end of the epoch's SGD; the
@@ -587,6 +580,9 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
         for run, p, (sub_x, sub_y, digest), s, cols, trace in zip(
             runs, params, held, sel_s, columns, traces
         ):
+            trace.sgd_s += end - t0
+            if not run.record:
+                continue
             rec = EpochRecord(
                 epoch=t,
                 wall_s=wall_s,
@@ -600,7 +596,6 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
             if cols is not None:
                 rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = cols
             trace.records.append(rec)
-            trace.sgd_s += end - t0
     return list(zip(params, subsets, traces))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .active import ACQUIRE_STRATEGIES, FILTER_MULT, initial_labeled, run_active
+from .active import ACQUIRE_STRATEGIES, FILTER_MULT, active_run, initial_labeled, train_active
 from .baselines import STRATEGIES, craig_subset, knn_submod_subset, random_subset
 from .core import (
     EpochRecord,
@@ -497,21 +497,29 @@ def _online_cells(config: ExperimentConfig):
 
 
 def _active_cells(config: ExperimentConfig):
-    """(trace file, round CSV, summary row) per acquisition strategy x seed."""
+    """(trace file, round CSV, summary row) per acquisition strategy x seed,
+    in that order.  The strategies of a seed hold equal label counts, so
+    they train in lockstep, when the seed's first cell is due."""
+    done = {}  # (strategy, seed) -> (run, state, trace)
     for strategy in config.strategies:
         for seed in config.seeds:
-            run_seed = derive_run_seed(seed, strategy, 0)
-            pool, val, test, _ = config.datasets[seed]
-            cfg = replace(config.selection, seed=run_seed)
-            initial = initial_labeled(pool, config.initial_labeled, SeededRng(run_seed).split(71))
-            _, state, trace = run_active(
-                strategy, pool, val, test, initial, config.model, cfg,
-                config.rounds, config.batch, config.epochs_per_round, config.filter_mult,
-            )
+            if (strategy, seed) not in done:
+                pool, val, test, _ = config.datasets[seed]
+                for s in config.strategies:
+                    cfg = replace(config.selection, seed=derive_run_seed(seed, s, 0))
+                    initial = initial_labeled(pool, config.initial_labeled, SeededRng(cfg.seed).split(71))
+                    run, state, trace = active_run(
+                        s, pool, val, test, initial, config.model, cfg,
+                        config.rounds, config.batch, config.epochs_per_round, config.filter_mult,
+                    )
+                    done[s, seed] = (replace(run, name=f"strategy {s!r}, seed {seed}"), state, trace)
+                train_active([done[s, seed] for s in config.strategies],
+                             (config.rounds + 1) * config.epochs_per_round)
+            run, state, trace = done.pop((strategy, seed))
             yield f"active_{strategy}_s{seed}.csv", active_trace_to_csv(trace), {
                 "strategy": strategy,
                 "seed": seed,
-                "run_seed": run_seed,
+                "run_seed": run.cfg.seed,
                 "rounds": config.rounds,
                 "batch": config.batch,
                 "final_test_acc": trace.final_test_acc,

@@ -15,12 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .active import ACQUIRE_STRATEGIES, active_run, initial_labeled, run_active, train_active
+from .baselines import random_subset
 from .core import (
     GlisterConfig,
+    Run,
     _selection_loop,
-    _train_epochs,
     exact_gain,
     glister_online_train,
+    glister_run,
     greedy_dss,
     init_model_params,
     make_gain_state,
@@ -30,6 +33,7 @@ from .core import (
     taylor_proxy,
 )
 from .data import Dataset, SplitSpec, gen_synthetic, inject_class_imbalance, inject_label_noise, split
+from .experiments import TRACE_COLUMNS, _cell_run, run_cell, trace_to_csv
 from .models import (
     LossKind,
     ModelParams,
@@ -130,6 +134,14 @@ def _online_config(setup: dict, seed: int) -> GlisterConfig:
         r_frac=setup["r_frac"], lr=setup["lr"], batch_size=setup["batch_size"],
         loss=LossKind.CROSS_ENTROPY, seed=seed,
     )
+
+
+def _fixed_run(train: Dataset, val: Dataset, test: Dataset, spec: ModelSpec, cfg: GlisterConfig,
+               subset, epochs: int, name: str) -> Run:
+    """A baseline that trains on the fixed `subset` for `epochs` epochs from
+    the config's initial parameters, with no per-epoch records."""
+    params = init_model_params(train, spec, cfg)
+    return Run(train, val, test, params, cfg, lambda _params, _rng: subset, epochs, name, record=False)
 
 
 def _flat_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
@@ -392,20 +404,18 @@ def noise_experiment(seed: int):
     train = inject_label_noise(clean, cfgd["noise_rate"], 42 + seed)
     cfg = _online_config(cfgd, seed)
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
-    k = cfg.resolve_k(train.n)
-    params, subset, _ = glister_online_train(train, val, test, spec, cfg, cfgd["epochs"])
-    root = SeededRng(cfg.seed)
-    rsubset = root.split(1 << 33).sample(np.arange(train.n), k).tolist()
-    baselines = []
-    for labelled in (train, clean):
-        rparams = init_model_params(labelled, spec, cfg)
-        rparams = _train_epochs(rparams, labelled, rsubset, cfg, cfgd["epochs"], root, 0)
-        baselines.append(accuracy(rparams, test))
+    rsubset = SeededRng(cfg.seed).split(1 << 33).sample(np.arange(train.n), cfg.resolve_k(train.n)).tolist()
+    epochs = cfgd["epochs"]
+    (params, subset, _), (noisy, _, _), (ceiling, _, _) = _selection_loop([
+        glister_run(train, val, test, spec, cfg),
+        _fixed_run(train, val, test, spec, cfg, rsubset, epochs, "random"),
+        _fixed_run(clean, val, test, spec, cfg, rsubset, epochs, "random on clean labels"),
+    ], epochs)
     return (
         accuracy(params, test),
-        baselines[0],
+        accuracy(noisy, test),
         float(train.noise_flipped[subset].mean()),
-        baselines[1],
+        accuracy(ceiling, test),
     )
 
 
@@ -436,8 +446,6 @@ def imbalance_experiment(seed: int):
     """Paired glister / proportional-random run on an imbalanced 4-class
     problem with balanced validation; returns (glister_acc, random_acc,
     rare fraction in glister subset, rare fraction in the train pool)."""
-    from .baselines import random_subset
-
     cfgd = IMBALANCE_SETUP
     full = gen_synthetic("overlapping-4", cfgd["n_per_class"], 100 + seed)
     train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
@@ -447,11 +455,11 @@ def imbalance_experiment(seed: int):
     cfg = _online_config(cfgd, seed)
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
     k = cfg.resolve_k(train.n)
-    params, subset, _ = glister_online_train(train, val, test, spec, cfg, cfgd["epochs"])
-    root = SeededRng(cfg.seed)
-    rparams = init_model_params(train, spec, cfg)
-    rsubset = random_subset(train, k, root.split(1 << 33), match_distribution=train)
-    rparams = _train_epochs(rparams, train, rsubset, cfg, cfgd["epochs"], root, 0)
+    rsubset = random_subset(train, k, SeededRng(cfg.seed).split(1 << 33), match_distribution=train)
+    (params, subset, _), (rparams, _, _) = _selection_loop([
+        glister_run(train, val, test, spec, cfg),
+        _fixed_run(train, val, test, spec, cfg, rsubset, cfgd["epochs"], "proportional random"),
+    ], cfgd["epochs"])
     rare_mask = np.isin(train.labels, rare)
     return (
         accuracy(params, test),
@@ -510,8 +518,6 @@ def active_experiment(seed: int):
 
     Every rare label is irreplaceable here, so acquisition quality shows up
     directly in the final accuracy."""
-    from .active import initial_labeled, run_active
-
     cfgd = ACTIVE_SETUP
     pool = compose_four_class(cfgd["n_majority"], 260, 100 + seed)
     pool = downsample_classes(
@@ -524,14 +530,10 @@ def active_experiment(seed: int):
     )
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
     initial = initial_labeled(pool, cfgd["initial"], SeededRng(seed).split(71))
-    accs = {}
-    for strat in ("glister", "random"):
-        _, _, trace = run_active(
-            strat, pool, val, test, initial, spec, cfg,
-            cfgd["rounds"], cfgd["batch"], cfgd["epochs_per_round"],
-        )
-        accs[strat] = trace.final_test_acc
-    return accs["glister"], accs["random"]
+    args = (pool, val, test, initial, spec, cfg, cfgd["rounds"], cfgd["batch"], cfgd["epochs_per_round"])
+    actives = [active_run(strat, *args) for strat in ("glister", "random")]
+    train_active(actives, (cfgd["rounds"] + 1) * cfgd["epochs_per_round"])
+    return tuple(trace.final_test_acc for _, _, trace in actives)
 
 
 def suite_active(seed: int = 0) -> list[Check]:
@@ -631,8 +633,6 @@ def suite_efficiency(seed: int = 0) -> list[Check]:
 def strip_timing(csv_text: str) -> str:
     """A trace CSV with the wall-clock cells (wall_s, sel_s) of every row
     below the header replaced by "-", for comparing runs."""
-    from .experiments import TRACE_COLUMNS
-
     timing = [TRACE_COLUMNS.index(c) for c in ("wall_s", "sel_s")]
     lines = csv_text.splitlines()
     for i in range(1, len(lines)):
@@ -650,9 +650,8 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     parameters from one SGD epoch, so a BLAS or numpy build that breaks the
     reproducibility of the in-place step shows here.  Cells stepped in
     lockstep must give the traces they give alone, so a build whose stacked
-    products differ from the per-run ones shows here too."""
-    from .experiments import _cell_run, run_cell, trace_to_csv
-
+    products differ from the per-run ones shows here too; so must active
+    runs on a tiny pool, in their round traces and final metrics."""
     checks = []
     full = gen_synthetic("separable-2", 100, seed + 3)
     train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
@@ -673,6 +672,14 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     same = [strip_timing(trace_to_csv(trace)) == alone for (_, _, trace), alone in zip(lockstep, solo)]
     checks.append(Check("lockstep cells match solo runs", all(same),
                         ", ".join(s for s, ok in zip(strategies, same) if not ok)))
+    initial = initial_labeled(train, 6, SeededRng(seed).split(71))
+    args = (train, val, test, initial, spec, replace(cfg, budget_frac=None), 2, 5, 3)
+    actives = [active_run(s, *args) for s in ACQUIRE_STRATEGIES]
+    train_active(actives, 9)
+    # an ActiveTrace compares every round's metrics and digest, and the final metrics
+    same = [trace == run_active(s, *args)[2] for s, (_, _, trace) in zip(ACQUIRE_STRATEGIES, actives)]
+    checks.append(Check("lockstep active runs match solo runs", all(same),
+                        ", ".join(s for s, ok in zip(ACQUIRE_STRATEGIES, same) if not ok)))
     params = init_model_params(train, spec, cfg)
     sels = [greedy_dss(train, val, params, cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glister import active
 from glister.active import PoolState, fass_acquire, initial_labeled, random_acquire, run_active
 from glister.core import GlisterConfig
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
@@ -193,6 +194,39 @@ def test_active_pool_exhausted(pool_data):
     spec = ModelSpec("logistic")
     with pytest.raises(ValueError, match="exhausted"):
         run_active("glister", pool, val, test, init, spec, small_cfg(), 2, 10, 2)
+
+
+def test_active_pool_exhausted_before_any_acquisition(pool_data, monkeypatch):
+    """Round 0 fits but round 1 does not: the run fails before it trains or
+    acquires anything."""
+    pool, val, test = pool_data
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return random_acquire(*args)
+
+    monkeypatch.setattr(active, "random_acquire", counting)
+    init = list(range(pool.n - 15))
+    with pytest.raises(ValueError, match="unlabeled pool exhausted"):
+        active.run_active("random", pool, val, test, init, ModelSpec("logistic"), small_cfg(), 2, 10, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "strategy, acquirer",
+    [("glister", "greedy_dss"), ("random", "random_acquire"), ("fass", "fass_acquire")],
+)
+def test_active_calls_its_acquirer_through_the_module(pool_data, monkeypatch, strategy, acquirer):
+    """The benchmark times acquisition by patching these `glister.active`
+    names, so each round must look its acquirer up there."""
+    pool, val, test = pool_data
+    calls = []
+    original = getattr(active, acquirer)
+    monkeypatch.setattr(active, acquirer, lambda *a, **k: calls.append(1) or original(*a, **k))
+    init = initial_labeled(pool, 10, SeededRng(3))
+    active.run_active(strategy, pool, val, test, init, ModelSpec("logistic"), small_cfg(), 2, 5, 1)
+    assert len(calls) == 2
 
 
 class _TaintedLabels(np.ndarray):

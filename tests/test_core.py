@@ -19,7 +19,7 @@ from glister.core import (
     taylor_gain,
     taylor_proxy,
 )
-from glister.core import EpochRecord, RunTrace
+from glister.core import EpochRecord, RunTrace, _selection_loop, glister_run
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.experiments import glister_config
 from glister.models import (
@@ -406,6 +406,18 @@ def test_online_loop_single_selection_when_l_exceeds_t(blob_data):
     assert len(trace.selection_records()) == 1
     digests = {r.subset_digest for r in trace.records}
     assert len(digests) == 1
+
+
+def test_unrecorded_run_steps_as_recorded_and_keeps_no_records(blob_data):
+    train, val, test = blob_data
+    cfg = GlisterConfig(budget_frac=0.3, select_every=2, lr=0.003, batch_size=10, seed=5)
+    run = glister_run(train, val, test, ModelSpec("mlp", hidden=6), cfg)
+    (p0, s0, t0), (p1, s1, t1) = _selection_loop([run, replace(run, monitor=None, record=False)], 5)
+    assert s0 == s1 and len(t0.records) == 5
+    assert t1.records == [] and t1.sgd_s == t0.sgd_s > 0
+    for (w0, b0), (w1, b1) in zip(p0.layers, p1.layers):
+        assert np.array_equal(w0, w1)
+        assert np.array_equal(b0, b1)
 
 
 def test_online_loop_k_equals_n_matches_plain_sgd(blob_data):

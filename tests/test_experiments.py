@@ -1,5 +1,6 @@
-"""`glister run` steps the cells of one (budget, seed) together; every cell
-must still give the trace and summary row it gives alone."""
+"""`glister run` steps the cells of one (budget, seed) together, and `glister
+active` the strategies of one seed; every cell must still give the trace and
+summary row it gives alone."""
 
 import json
 from dataclasses import replace
@@ -7,13 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from glister.active import initial_labeled, run_active
 from glister.experiments import (
+    active_trace_to_csv,
     derive_run_seed,
+    load_active_config,
     load_experiment_config,
+    run_active_experiment,
     run_cell,
     run_experiment,
     trace_to_csv,
 )
+from glister.numerics import SeededRng
 from glister.verify import strip_timing
 
 STRATEGIES = ["full", "random", "craig", "knnsub_val", "glister"]
@@ -119,3 +125,48 @@ def test_divergence_in_a_stack_names_the_cell(tmp_path, eta, culprit):
         ValueError, match=f"^{culprit}, budget 0.4, seed 2, epoch 0: parameters must be finite"
     ):
         run_experiment(config)
+
+
+def test_active_lockstep_cells_match_run_active_alone(tmp_path):
+    strategies = ["glister", "random", "fass"]
+    raw = {
+        "schema_version": 1,
+        "dataset": {"kind": "synthetic", "name": "separable-2", "n_per_class": 25, "seed": 4},
+        "model": {"arch": "mlp", "hidden": 6},
+        "strategies": strategies,
+        "seeds": SEEDS,
+        "rounds": 2,
+        "batch": 5,
+        "epochs_per_round": 3,
+        "initial_labeled": 4,
+        "lr": 0.02,
+        "batch_size": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "active.json"
+    path.write_text(json.dumps(raw))
+    config = load_active_config(path)
+    rows = run_active_experiment(config)
+    assert [(r["strategy"], r["seed"]) for r in rows] == [(s, seed) for s in strategies for seed in SEEDS]
+    for row in rows:
+        strategy, seed = row["strategy"], row["seed"]
+        cfg = replace(config.selection, seed=derive_run_seed(seed, strategy, 0))
+        pool, val, test, _ = config.datasets[seed]
+        initial = initial_labeled(pool, config.initial_labeled, SeededRng(cfg.seed).split(71))
+        _, state, trace = run_active(
+            strategy, pool, val, test, initial, config.model, cfg,
+            config.rounds, config.batch, config.epochs_per_round, config.filter_mult,
+        )
+        written = (config.output_dir / row["trace_file"]).read_text()
+        assert written == active_trace_to_csv(trace), row["trace_file"]
+        assert row == {
+            "strategy": strategy,
+            "seed": seed,
+            "run_seed": cfg.seed,
+            "rounds": config.rounds,
+            "batch": config.batch,
+            "final_test_acc": trace.final_test_acc,
+            "final_val_loss": trace.final_val_loss,
+            "labeled_count": len(state.labeled),
+            "trace_file": row["trace_file"],
+        }

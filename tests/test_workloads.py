@@ -31,6 +31,10 @@ def test_toy_workload_ops_ok(tmp_path, name):
     result = check(entry())
     assert result["ops"]
     assert [op["error"] for op in result["ops"] if not op["ok"]] == []
+    # active-rare times its acquirers by patching them in `glister.active`;
+    # an acquirer the package binds at import would escape the patch and
+    # read as a selection time of zero
+    assert result["sel_s"] > 0
 
 
 @pytest.mark.parametrize("size", ["full", "toy"])

@@ -172,7 +172,9 @@ class GainState:
     `refresh` recomputes delta and the validation gradient exactly at the
     current lookahead, and projects every row once (`hidden_val_w`, h V_W);
     between refreshes all three are frozen while `add` folds elements into
-    the lookahead.  The candidates are the training rows.
+    the lookahead.  The candidates are the training rows.  Nothing in the
+    package reads `cand_features`; perfbench's tracer counts its rows as
+    the work of each refresh (`perfbench/tracing.py`), so it stays.
     """
 
     theta_lookahead: np.ndarray

@@ -9,7 +9,7 @@ column with labels encoded internally as -1/+1 (class 1 maps to +1).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,32 +61,29 @@ def output_width(kind: LossKind, num_classes: int) -> int:
 @dataclass(frozen=True)
 class ModelParams:
     """Ordered (weight, bias) layers; `activation` is 'identity' for a single
-    linear layer or 'relu' applied between layers of an MLP."""
+    linear layer or 'relu' applied between layers of an MLP.  The layers are
+    packed once into one read-only float64 vector `theta`, and `layers` holds
+    read-only views into it (`_layer_views` gives the layout)."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     activation: str = "identity"
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation not in ("identity", "relu"):
             raise ValueError("activation must be 'identity' or 'relu'")
-        frozen = []
-        prev_out = None
-        for w, b in self.layers:
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
+        layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)) for w, b in self.layers]
+        for i, (w, b) in enumerate(layers):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError("layer shapes do not compose")
-            if prev_out is not None and w.shape[0] != prev_out:
+            if i and w.shape[0] != layers[i - 1][0].shape[1]:
                 raise ValueError("adjacent layer dimensions do not compose")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters must be finite")
-            prev_out = w.shape[1]
-            w = w.copy()
-            b = b.copy()
-            w.flags.writeable = False
-            b.flags.writeable = False
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
+        theta = flatten_grads(layers)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("parameters must be finite")
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "layers", tuple(_layer_views(theta, [w.shape for w, _ in layers])))
 
     @property
     def input_dim(self) -> int:
@@ -96,15 +93,23 @@ class ModelParams:
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[1]
 
-    def last_layer_vector(self) -> np.ndarray:
-        w, b = self.layers[-1]
-        return np.concatenate([w.ravel(), b])
+    def with_theta(self, vector: np.ndarray) -> "ModelParams":
+        """These layers' shapes and activation holding `vector`, laid out as
+        `theta`; a vector of another length or with a non-finite entry
+        raises ValueError."""
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != self.theta.shape:
+            raise ValueError("parameter vector does not match the layers")
+        return ModelParams(tuple(_layer_views(vector, [w.shape for w, _ in self.layers])), self.activation)
 
-    def with_last_layer_vector(self, theta: np.ndarray) -> "ModelParams":
+    def last_layer_vector(self) -> np.ndarray:
+        """The final layer's [W row-major, b]: the tail of `theta`."""
         w, b = self.layers[-1]
-        w_new = theta[: w.size].reshape(w.shape)
-        b_new = theta[w.size:]
-        return ModelParams(self.layers[:-1] + ((w_new, b_new),), self.activation)
+        return self.theta[self.theta.size - w.size - b.size:]
+
+    def with_last_layer_vector(self, vector: np.ndarray) -> "ModelParams":
+        head = self.theta[: self.theta.size - self.last_layer_vector().size]
+        return self.with_theta(np.concatenate([head, vector]))
 
 
 @dataclass(frozen=True)
@@ -131,16 +136,13 @@ class ModelSpec:
 
 def init_params(layer_dims: list[int], activation: str, rng: SeededRng) -> ModelParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] for weights
-    and biases alike."""
-    layers = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = (rng.uniforms(fan_in * fan_out) * 2.0 - 1.0).reshape(fan_in, fan_out) * bound
-        b = (rng.uniforms(fan_out) * 2.0 - 1.0) * bound
-        layers.append((w, b))
-    if len(layers) == 1:
+    and biases alike, drawn in one pass in `theta`'s order."""
+    shapes = list(zip(layer_dims[:-1], layer_dims[1:]))
+    bounds = np.concatenate([np.full((d + 1) * h, 1.0 / np.sqrt(d)) for d, h in shapes])
+    theta = (rng.uniforms(bounds.size) * 2.0 - 1.0) * bounds
+    if len(shapes) == 1:
         activation = "identity"  # no hidden layer, nothing to activate
-    return ModelParams(tuple(layers), activation)
+    return ModelParams(tuple(_layer_views(theta, shapes)), activation)
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
@@ -294,7 +296,9 @@ def _backprop(layers, activation: str, acts: list, delta: np.ndarray, out=None):
 
 
 def flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    """(dW, db) or (W, b) layers packed into one new vector in the layout of
+    `ModelParams.theta`."""
+    return np.concatenate([a.ravel() for layer in grads for a in layer])
 
 
 def last_layer_per_sample_grads(
@@ -348,14 +352,14 @@ def sgd_epoch_stack(
     shares the numpy calls.  Every run needs the same architecture and a
     subset of the same size, so that batch j of every run is one
     (S, batch, ·) slice.  The epoch gathers each run's shuffled rows, checks
-    their labels and encodes them once, and copies every run's (W, b) arrays
-    into one row `theta[i]` of a private buffer.  Each batch writes the
+    their labels and encodes them once, and copies every run's `theta` into
+    one row `theta[i]` of a private buffer.  Each batch writes the
     gradients into the views of a buffer of the same shape and steps every
     parameter of every run with one `grad *= lr; theta -= grad`, which
     rounds exactly as `w - lr * gw` does.  A stacked matmul makes one BLAS
     call per run, the same call as the run's own 2-D product, so every run's
     parameters are bit for bit those of a stack of one.  Each result is
-    validated (shapes, finiteness) once, at the end of the epoch; a
+    `with_theta` of its row, validated once, at the end of the epoch; a
     non-finite run raises the `ModelParams` ValueError prefixed with its
     entry of `names`.
     """
@@ -380,7 +384,7 @@ def sgd_epoch_stack(
         _targets(_check_labels(ds.labels[o], kind, first.out_dim), kind, first.out_dim)
         for ds, o in zip(datasets, orders)
     ])
-    theta = np.array([np.concatenate([a.ravel() for layer in p.layers for a in layer]) for p in params])
+    theta = np.array([p.theta for p in params])
     grad = np.empty_like(theta)
     layers, grads = _layer_views(theta, shapes), _layer_views(grad, shapes)
     for start in range(0, size, batch_size):
@@ -391,9 +395,9 @@ def sgd_epoch_stack(
         grad *= lr
         theta -= grad
     out = []
-    for i in range(len(params)):
+    for i, row in enumerate(theta):
         try:
-            out.append(ModelParams(tuple((w[i], b[i, 0]) for w, b in layers), first.activation))
+            out.append(first.with_theta(row))
         except ValueError as exc:
             if names is None:
                 raise
@@ -402,15 +406,18 @@ def sgd_epoch_stack(
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list:
-    """(W, b) views into the rows of `flat`, one run per row, for weight
-    shapes `shapes`: W (S, d, H), then b (S, 1, H), whose row axis
-    broadcasts over a batch.  Splitting the contiguous last axis of a
-    column slice is always a view, so the steps write into `flat`."""
+    """(W, b) views into `flat` for weight shapes `shapes`, in the one
+    layout of `ModelParams.theta`: each layer's W row-major, then its b.
+    A vector gives W (d, H) and b (H,); a stack (S, P), one run per row,
+    gives W (S, d, H) and b (S, 1, H), whose row axis broadcasts over a
+    batch.  Splitting the contiguous last axis of a slice is always a view,
+    so writes to a stack's views write into `flat`."""
+    lead = flat.shape[:-1]
     views, at = [], 0
     for d, h in shapes:
-        w = flat[:, at:at + d * h].reshape((len(flat), d, h))
+        w = flat[..., at:at + d * h].reshape(lead + (d, h))
         at += d * h
-        views.append((w, flat[:, None, at:at + h]))
+        views.append((w, flat[..., None, at:at + h] if lead else flat[at:at + h]))
         at += h
     return views
 

@@ -36,7 +36,6 @@ from .data import Dataset, SplitSpec, gen_synthetic, inject_class_imbalance, inj
 from .experiments import TRACE_COLUMNS, _cell_run, run_cell, trace_to_csv
 from .models import (
     LossKind,
-    ModelParams,
     ModelSpec,
     accuracy,
     flatten_grads,
@@ -144,18 +143,6 @@ def _fixed_run(train: Dataset, val: Dataset, test: Dataset, spec: ModelSpec, cfg
     return Run(train, val, test, params, cfg, lambda _params, _rng: subset, epochs, name, record=False)
 
 
-def _flat_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    layers = []
-    off = 0
-    for w, b in template.layers:
-        wn = vec[off:off + w.size].reshape(w.shape)
-        off += w.size
-        bn = vec[off:off + b.size]
-        off += b.size
-        layers.append((wn, bn))
-    return ModelParams(tuple(layers), template.activation)
-
-
 def _away_from_kinks(params, x, y, kind, margin=1e-4) -> bool:
     """Finite differences need the loss to be smooth in an h-neighbourhood;
     reject samples sitting on a hinge/perceptron/ReLU kink."""
@@ -204,10 +191,9 @@ def suite_gradients(seed: int = 0) -> list[Check]:
                 y = np.array([rng.split(3).randint(c) for _ in range(n)])
                 if not _away_from_kinks(params, x, y, kind):
                     continue
-                vec = flatten_grads(params.layers)
                 g = flatten_grads(grad_full(params, x, y, kind))
                 fd = finite_diff_grad(
-                    lambda v: loss_value(_flat_to_params(v, params), x, y, kind), vec, 1e-6
+                    lambda v: loss_value(params.with_theta(v), x, y, kind), params.theta, 1e-6
                 )
                 denom = max(float(np.linalg.norm(g)), 1e-10)
                 rel = float(np.linalg.norm(g - fd)) / denom
@@ -688,11 +674,7 @@ def suite_determinism(seed: int = 0) -> list[Check]:
         sgd_epoch(params, train, subset, cfg.lr, cfg.batch_size, SeededRng(seed).split(1), cfg.loss)
         for _ in range(2)
     ]
-    same = all(
-        np.array_equal(w0, w1) and np.array_equal(b0, b1)
-        for (w0, b0), (w1, b1) in zip(steps[0].layers, steps[1].layers)
-    )
-    checks.append(Check("sgd_epoch parameters bit-identical", same))
+    checks.append(Check("sgd_epoch parameters bit-identical", np.array_equal(steps[0].theta, steps[1].theta)))
     return checks
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from glister import active
 from glister.active import PoolState, fass_acquire, initial_labeled, random_acquire, run_active
-from glister.core import GlisterConfig
+from glister.core import GlisterConfig, _selection_loop
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.models import LossKind, ModelParams, ModelSpec, init_params, sgd_epoch
 from glister.core import init_model_params
@@ -183,9 +183,7 @@ def test_active_acquire_all_equals_warm_start_then_full_train(pool_data):
         manual = sgd_epoch(manual, pool, init, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
     for t in range(epochs, 2 * epochs):
         manual = sgd_epoch(manual, pool, state.labeled, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
-    for (w0, b0), (w1, b1) in zip(params.layers, manual.layers):
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(b0, b1)
+    assert np.array_equal(params.theta, manual.theta)
 
 
 def test_active_pool_exhausted(pool_data):
@@ -267,3 +265,15 @@ def test_active_never_reads_unlabeled_truth_before_reveal(pool_data):
     never_acquired = set(range(pool.n)) - allowed
     assert never_acquired, "test needs some rows to stay unlabeled"
     assert not (tainted.reads & never_acquired)
+
+
+def test_active_run_keeps_no_epoch_records(pool_data):
+    """An epoch record's `full_train_loss` reads every pool label, revealed
+    or not, so an active run is unrecorded and the loop leaves its trace
+    without records."""
+    pool, val, test = pool_data
+    init = initial_labeled(pool, 10, SeededRng(3))
+    run, _, _ = active.active_run("random", pool, val, test, init, ModelSpec("logistic"), small_cfg(), 2, 5, 2)
+    assert run.record is False
+    ((_, _, trace),) = _selection_loop([run], 3 * 2)
+    assert trace.records == []

@@ -415,9 +415,7 @@ def test_unrecorded_run_steps_as_recorded_and_keeps_no_records(blob_data):
     (p0, s0, t0), (p1, s1, t1) = _selection_loop([run, replace(run, monitor=None, record=False)], 5)
     assert s0 == s1 and len(t0.records) == 5
     assert t1.records == [] and t1.sgd_s == t0.sgd_s > 0
-    for (w0, b0), (w1, b1) in zip(p0.layers, p1.layers):
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(b0, b1)
+    assert np.array_equal(p0.theta, p1.theta)
 
 
 def test_online_loop_k_equals_n_matches_plain_sgd(blob_data):
@@ -431,9 +429,7 @@ def test_online_loop_k_equals_n_matches_plain_sgd(blob_data):
     for t in range(7):
         manual = sgd_epoch(manual, train, list(range(train.n)), cfg.lr, cfg.batch_size,
                            root.split(t), cfg.loss)
-    for (w0, b0), (w1, b1) in zip(params.layers, manual.layers):
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(b0, b1)
+    assert np.array_equal(params.theta, manual.theta)
 
 
 def test_online_loop_regularizer_none_ignores_lambda(blob_data):

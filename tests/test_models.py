@@ -23,18 +23,6 @@ from glister.numerics import SeededRng, finite_diff_grad
 ALL_LOSSES = list(LossKind)
 
 
-def rebuild(vec, template):
-    layers = []
-    off = 0
-    for w, b in template.layers:
-        wn = vec[off:off + w.size].reshape(w.shape)
-        off += w.size
-        bn = vec[off:off + b.size]
-        off += b.size
-        layers.append((wn, bn))
-    return ModelParams(tuple(layers), template.activation)
-
-
 def make_instance(kind, arch, seed):
     rng = SeededRng(seed)
     d, n = 3, 6
@@ -49,6 +37,28 @@ def make_instance(kind, arch, seed):
 def test_forward_zero_params_zero_logits():
     params = ModelParams(((np.zeros((3, 2)), np.zeros(2)),))
     assert np.array_equal(forward(params, np.ones((4, 3))), np.zeros((4, 2)))
+
+
+def test_params_pack_into_one_read_only_theta():
+    w0, b0 = np.arange(6.0).reshape(2, 3), np.array([0.5, -1.0, 2.0])
+    w1, b1 = np.ones((3, 1)), np.array([7.0])
+    params = ModelParams(((w0, b0), (w1, b1)), "relu")
+    assert np.array_equal(params.theta, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    assert not params.theta.flags.writeable
+    for given, held in zip((w0, b0, w1, b1), (a for layer in params.layers for a in layer)):
+        assert np.array_equal(given, held) and np.shares_memory(held, params.theta) and not held.flags.writeable
+    w0[0, 0], b1[0] = 99.0, 99.0
+    assert params.layers[0][0][0, 0] == 0.0 and params.layers[1][1][0] == 7.0
+    again = params.with_theta(params.theta)
+    assert again.activation == "relu"
+    for (w, b), (wa, ba) in zip(params.layers, again.layers):
+        assert np.array_equal(w, wa) and np.array_equal(b, ba)
+    with pytest.raises(ValueError, match="does not match"):
+        params.with_theta(params.theta[:-1])
+    bad = params.theta.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        params.with_theta(bad)
 
 
 def test_forward_identity_layer():
@@ -133,9 +143,8 @@ def test_hinge_zero_gradient_at_large_margin():
 @pytest.mark.parametrize("kind", ALL_LOSSES)
 def test_grad_matches_finite_differences(kind, arch):
     params, x, y = make_instance(kind, arch, 31)
-    vec = flatten_grads(params.layers)
     g = flatten_grads(grad_full(params, x, y, kind))
-    fd = finite_diff_grad(lambda v: loss_value(rebuild(v, params), x, y, kind), vec, 1e-6)
+    fd = finite_diff_grad(lambda v: loss_value(params.with_theta(v), x, y, kind), params.theta, 1e-6)
     rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-10)
     assert rel <= 1e-5
 
@@ -171,8 +180,7 @@ def test_per_sample_matches_finite_differences_on_last_layer():
     params, x, y = make_instance(LossKind.CROSS_ENTROPY, "mlp", 53)
     i = 2
     table = last_layer_per_sample_grads(params, x, y, LossKind.CROSS_ENTROPY)
-    w, b = params.layers[-1]
-    vec = np.concatenate([w.ravel(), b])
+    vec = params.last_layer_vector()
 
     def f(v):
         p2 = params.with_last_layer_vector(v)
@@ -187,8 +195,7 @@ def test_sgd_lr_zero_keeps_params():
     ds = gen_synthetic("separable-2", 20, seed=1)
     params = init_params([2, 2], "identity", SeededRng(0))
     out = sgd_epoch(params, ds, list(range(ds.n)), 0.0, 8, SeededRng(1))
-    for (w0, b0), (w1, b1) in zip(params.layers, out.layers):
-        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+    assert np.array_equal(params.theta, out.theta)
 
 
 def test_sgd_full_batch_equals_single_step():
@@ -207,14 +214,11 @@ def test_sgd_deterministic_given_seed():
     params = init_params([2, 4, 2], "relu", SeededRng(0))
     a = sgd_epoch(params, ds, list(range(ds.n)), 0.01, 8, SeededRng(7))
     b = sgd_epoch(params, ds, list(range(ds.n)), 0.01, 8, SeededRng(7))
-    for (w0, b0), (w1, b1) in zip(a.layers, b.layers):
-        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+    assert np.array_equal(a.theta, b.theta)
 
 
 def _assert_same_params(got, want):
-    assert got.activation == want.activation
-    for (w0, b0), (w1, b1) in zip(got.layers, want.layers):
-        assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+    assert got.activation == want.activation and np.array_equal(got.theta, want.theta)
 
 
 def reference_sgd_epoch(params, ds, subset, lr, batch_size, rng, kind):

@@ -32,7 +32,7 @@ from .models import (
     hypothesized_labels,
     loss_value,
 )
-from .numerics import SeededRng, log_sum_exp_rows
+from .numerics import SeededRng, log_sum_exp_rows, row_sum
 from .submodular import _top_ranked, facility_location, lazy_greedy
 
 __all__ = [
@@ -133,7 +133,7 @@ def _predictive_entropy(params: ModelParams, x: np.ndarray) -> np.ndarray:
     if z.shape[1] == 1:
         z = np.concatenate([np.zeros_like(z), z], axis=1)
     logp = z - log_sum_exp_rows(z)[:, None]
-    return -(np.exp(logp) * logp).sum(axis=1)
+    return -row_sum(np.exp(logp) * logp)
 
 
 def fass_acquire(

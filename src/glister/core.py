@@ -172,7 +172,11 @@ class GainState:
     `refresh` recomputes delta and the validation gradient exactly at the
     current lookahead, and projects every row once (`hidden_val_w`, h V_W);
     between refreshes all three are frozen while `add` folds elements into
-    the lookahead.  The candidates are the training rows.  Nothing in the
+    the lookahead.  Each delta is built in one array: the logits, their
+    bias, then the softmax in place, whose class-axis reductions are
+    `row_max` and `row_sum`.  delta is first computed when needed: by the
+    first refresh, or by an `add` before any refresh, at the base
+    parameters.  The candidates are the training rows.  Nothing in the
     package reads `cand_features`; perfbench's tracer counts its rows as
     the work of each refresh (`perfbench/tracing.py`), so it stays.
     """
@@ -193,20 +197,23 @@ class GainState:
     def lookahead_params(self) -> ModelParams:
         return self.params_template.with_last_layer_vector(self.theta_lookahead)
 
-    def _set_logit_grads(self, params: ModelParams) -> None:
-        w, b = params.layers[-1]
-        self.logit_grads = logit_grads(self.hidden @ w + b, self.cand_labels, self.kind)
+    def _deltas(self, h: np.ndarray, labels: np.ndarray, layer) -> np.ndarray:
+        """delta of the rows with last-layer inputs h under the last layer
+        (W, b), in the array that first holds their logits."""
+        w, b = layer
+        z = h @ w
+        z += b
+        return logit_grads(z, labels, self.kind, overwrite=True)
 
     def refresh(self, val: Dataset) -> None:
         """Exact recomputation of the candidate logit gradients and the
         validation log-likelihood gradient at the current lookahead."""
         look = self.lookahead_params()
-        self._set_logit_grads(look)
+        self.logit_grads = self._deltas(self.hidden, self.cand_labels, look.layers[-1])
         if self._val_hidden is None or self._val_hidden[0] is not val:
             self._val_hidden = (val, last_layer_inputs(look, val.features))
         h_v = self._val_hidden[1]
-        w, b = look.layers[-1]
-        delta_v = logit_grads(h_v @ w + b, val.labels, self.kind)
+        delta_v = self._deltas(h_v, val.labels, look.layers[-1])
         v_w = -(h_v.T @ delta_v)
         self.val_grad_at_lookahead = np.concatenate([v_w.ravel(), -delta_v.sum(axis=0)])
         self.hidden_val_w = self.hidden @ v_w
@@ -215,13 +222,15 @@ class GainState:
     def add(self, positions) -> None:
         """Fold the gradients of the candidates at `positions` into the lookahead."""
         if len(positions):
+            if self.logit_grads is None:  # never refreshed: the lookahead is the base
+                self.logit_grads = self._deltas(self.hidden, self.cand_labels, self.params_template.layers[-1])
             rows = -last_layer_rows(self.hidden[positions], self.logit_grads[positions])
             self.theta_lookahead = self.theta_lookahead + self.eta * rows.sum(axis=0)
 
 
 def make_gain_state(params: ModelParams, train: Dataset, kind: LossKind, eta: float) -> GainState:
     """Gain state over every training row, its lookahead at `params`."""
-    state = GainState(
+    return GainState(
         theta_lookahead=params.last_layer_vector(),
         cand_features=train.features,
         cand_labels=train.labels,
@@ -230,10 +239,6 @@ def make_gain_state(params: ModelParams, train: Dataset, kind: LossKind, eta: fl
         params_template=params,
         hidden=last_layer_inputs(params, train.features),
     )
-    # logit grads at the base parameters so elements can be folded before the
-    # first refresh; each refresh recomputes them at the current lookahead
-    state._set_logit_grads(params)
-    return state
 
 
 def taylor_gain(state: GainState, e: int) -> float:
@@ -248,8 +253,8 @@ def _taylor_gains(state: GainState, positions: np.ndarray) -> np.ndarray:
     v = state.val_grad_at_lookahead
     if v is None:
         raise ValueError("state has never been refreshed")
-    delta = state.logit_grads[positions]
-    hv = state.hidden_val_w[positions]
+    delta = np.take(state.logit_grads, positions, axis=0)
+    hv = np.take(state.hidden_val_w, positions, axis=0)
     return -state.eta * (np.einsum("ij,ij->i", hv, delta) + delta @ v[-delta.shape[1]:])
 
 

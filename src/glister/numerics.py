@@ -15,12 +15,15 @@ import numpy as np
 __all__ = [
     "SeededRng",
     "log_sum_exp",
+    "row_max",
+    "row_sum",
     "pairwise_sq_dists",
     "finite_diff_grad",
 ]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
+_NORMAL_BLOCK = 1 << 15  # values per block of `SeededRng.normals`
 
 
 def _mix64(z: int) -> int:
@@ -72,12 +75,19 @@ class SeededRng:
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
-        """Standard normals via Box-Muller; two uniforms consumed per value."""
-        u = self._raw(2 * n)
-        # shift into (0, 1] so the log never sees zero
-        u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        """Standard normals via Box-Muller; two uniforms consumed per value.
+        Drawn in blocks of `_NORMAL_BLOCK` values into one output array: the
+        stream is counter-based, so the values and the counter advance are
+        those of one draw of 2n uniforms, without its n-sized temporaries."""
+        out = np.empty(n)
+        for start in range(0, n, _NORMAL_BLOCK):
+            part = out[start:start + _NORMAL_BLOCK]
+            u = self._raw(2 * len(part))
+            # shift into (0, 1] so the log never sees zero
+            u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+            u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(2.0 * math.pi * u2), out=part)
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Scaled-double construction (documented bias
@@ -132,10 +142,76 @@ def log_sum_exp(v: np.ndarray) -> float:
 
 
 def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
-    """Max-shifted log-sum-exp over the last axis (the rows of a 2-D array)."""
+    """Max-shifted log-sum-exp over the last axis (the rows of a 2-D array),
+    reduced by `row_max` and `row_sum`."""
     m = np.asarray(m, dtype=np.float64)
-    shift = m.max(axis=-1, keepdims=True)
-    return (shift + np.log(np.exp(m - shift).sum(axis=-1, keepdims=True)))[..., 0]
+    shift = row_max(m)
+    e = m - shift[..., None]
+    np.exp(e, out=e)
+    return shift + np.log(row_sum(e))
+
+
+def row_max(m: np.ndarray) -> np.ndarray:
+    """``m.max(axis=-1)``, one column at a time: a few whole-column calls
+    instead of numpy's per-row loop, which costs about 40 ns a row on a
+    short last axis.  Max is exact in any order, so every value is
+    numpy's; only the sign of a zero maximum may differ, as numpy's own
+    sign follows the lane order of its SIMD path."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[-1] == 0:
+        raise ValueError("row_max of an empty last axis")
+    out = m[..., 0].copy()
+    for j in range(1, m.shape[-1]):
+        np.maximum(out, m[..., j], out=out)
+    return out
+
+
+def row_sum(m: np.ndarray) -> np.ndarray:
+    """``m.sum(axis=-1)`` bit for bit (NaN payloads aside), one column at a
+    time, in numpy's pairwise order for a contiguous last axis: below 8
+    entries they are added in turn to 0.0; otherwise `_pairwise_sum`, and
+    then ``+ 0.0``, numpy's initial value, so signed zeros match too.  A
+    numpy that changes that order fails `tests/test_numerics.py`."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 1:  # one row: sum it as a 2-D array, whose columns are arrays
+        return row_sum(m[None])[0]
+    n = m.shape[-1]
+    if n >= 8:
+        out = _pairwise_sum(m)
+        out += 0.0
+        return out
+    out = m[..., 0] + 0.0 if n else np.zeros(m.shape[:-1])
+    for j in range(1, n):
+        out += m[..., j]
+    return out
+
+
+def _pairwise_sum(m: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of a last axis of n >= 8 entries: up to 128, 8
+    running sums of every 8th entry, joined as
+    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, then the leftover entries in
+    turn; above 128, the sums of the halves split at n/2 rounded down to a
+    multiple of 8."""
+    n = m.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(m[..., :half])
+        out += _pairwise_sum(m[..., half:])
+        return out
+    full = n - n % 8
+    s = [m[..., j] for j in range(8)]
+    for i in range(8, full, 8):
+        s = [a + m[..., i + j] for j, a in enumerate(s)]
+    out = s[0] + s[1]  # three arrays in all: a new array per sum costs more
+    part = s[2] + s[3]
+    out += part
+    np.add(s[4], s[5], out=part)
+    right = s[6] + s[7]
+    part += right
+    out += part
+    for i in range(full, n):
+        out += m[..., i]
+    return out
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

@@ -95,6 +95,28 @@ def test_gain_state_lookahead_invariant(blob_data):
     assert state.refresh_count == 2
 
 
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_gain_state_computes_delta_on_first_need(blob_data, kind):
+    """`make_gain_state` makes no logits pass of its own.  An `add` before
+    any refresh folds delta at the base parameters, bit for bit the
+    per-sample rows there; the first refresh recomputes delta."""
+    train, val, _ = blob_data
+    dims = ModelSpec("mlp", hidden=8).layer_dims(train.d, output_width(kind, train.num_classes))
+    params = init_params(dims, "relu", SeededRng(4))
+    state = make_gain_state(params, train, kind, 0.05)
+    assert state.logit_grads is None
+    state.add([])
+    assert state.logit_grads is None
+    state.add([1, 4, 9])
+    rows = -last_layer_per_sample_grads(params, train.features, train.labels, kind)
+    assert np.array_equal(state.theta_lookahead, params.last_layer_vector() + 0.05 * rows[[1, 4, 9]].sum(axis=0))
+    at_base = state.logit_grads
+    state.refresh(val)
+    look = state.lookahead_params()
+    delta = last_layer_per_sample_grads(look, train.features, train.labels, kind)[:, -at_base.shape[1]:]
+    assert state.logit_grads is not at_base and np.array_equal(state.logit_grads, delta)
+
+
 def table_greedy_dss(train, val, params, cfg, k):
     """GreedyDSS scored from the full per-sample gradient table, with the
     randomized variant re-sorting the pool on every pick: the reference for

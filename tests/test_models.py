@@ -4,6 +4,8 @@ import pytest
 from glister.data import gen_synthetic
 from glister.models import (
     LossKind,
+    _logit_grads,
+    _targets,
     ModelParams,
     ModelSpec,
     accuracy,
@@ -13,12 +15,15 @@ from glister.models import (
     hypothesized_labels,
     init_params,
     last_layer_per_sample_grads,
+    logit_grads,
     loss_value,
     output_width,
     sgd_epoch,
     sgd_epoch_stack,
 )
 from glister.numerics import SeededRng, finite_diff_grad
+
+from test_numerics import class_axis_inputs, same_bits
 
 ALL_LOSSES = list(LossKind)
 
@@ -118,6 +123,28 @@ def test_loss_matches_direct_formula(kind):
         else:
             expect = float(np.sum(np.maximum(0, -m)))
     assert loss_value(params, x, y, kind) == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_LOSSES)
+@pytest.mark.parametrize("n,c", [(1, 2), (300, 4), (2000, 10), (64, 9), (50, 17), (40, 130)])
+def test_logit_grads_equal_the_targets_form(kind, n, c):
+    """The public `logit_grads` (class-axis kernels, 1 subtracted at each
+    label) equals `_logit_grads` of the `_targets` rows (numpy's reductions,
+    a one-hot row subtracted) bit for bit, leaves z as it is, and with
+    `overwrite` returns the same values in z's own memory."""
+    width = c if kind == LossKind.CROSS_ENTROPY else 1
+    y = np.random.default_rng(n + c).integers(0, 2 if width == 1 else c, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in class_axis_inputs((n, width), c):
+            before = z.copy()
+            expect = _logit_grads(z, _targets(y, kind, width), kind)
+            got = logit_grads(z, y, kind)
+            assert same_bits(got, expect)
+            assert same_bits(z, before)
+            if kind == LossKind.CROSS_ENTROPY:
+                owned = z.copy()
+                assert logit_grads(owned, y, kind, overwrite=True) is owned
+                assert same_bits(owned, expect)
 
 
 def test_loss_label_out_of_range():

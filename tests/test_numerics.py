@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from glister.numerics import SeededRng, finite_diff_grad, log_sum_exp, pairwise_sq_dists
+from glister.numerics import (
+    _NORMAL_BLOCK,
+    SeededRng,
+    finite_diff_grad,
+    log_sum_exp,
+    log_sum_exp_rows,
+    pairwise_sq_dists,
+    row_max,
+    row_sum,
+)
 from glister.submodular import cross_facility_location
 
 
@@ -32,6 +41,98 @@ def test_log_sum_exp_shift_invariance():
 def test_log_sum_exp_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         log_sum_exp(np.array([]))
+
+
+def same_bits(a, b) -> bool:
+    """Same shape, NaN at the same entries, every other entry with the same
+    bits (signed zeros included); NaN payloads are not compared."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
+
+
+def class_axis_inputs(shape, seed):
+    """Three arrays of `shape`: finite values spanning many magnitudes, so
+    the order of a sum shows in its bits; zeros of both signs, with a first
+    row of -0.0 alone; and the first with sparse zeros of both signs,
+    infinities and NaNs."""
+    rng = np.random.default_rng(seed)
+    wide = rng.normal(size=shape) * np.exp(4.0 * rng.normal(size=shape))
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    zeros.reshape(-1, shape[-1])[0] = -0.0
+    special = wide.copy()
+    hit = rng.random(shape)
+    special[hit < 0.02] = np.inf
+    special[(hit >= 0.02) & (hit < 0.04)] = -np.inf
+    special[(hit >= 0.04) & (hit < 0.06)] = np.nan
+    special[(hit >= 0.06) & (hit < 0.10)] = -0.0
+    special[(hit >= 0.10) & (hit < 0.14)] = 0.0
+    return wide, zeros, special
+
+
+CLASS_AXIS_LENGTHS = list(range(1, 301)) + [513, 1000]
+
+
+@pytest.mark.parametrize("lead", [(), (23,), (3, 4)], ids=["1-D", "2-D", "3-D"])
+def test_row_sum_equals_numpy_bit_for_bit(lead):
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in CLASS_AXIS_LENGTHS:
+            for m in class_axis_inputs(lead + (c,), c):
+                assert same_bits(row_sum(m), m.sum(axis=-1)), c
+
+
+@pytest.mark.parametrize("lead", [(), (23,), (3, 4)], ids=["1-D", "2-D", "3-D"])
+def test_row_max_equals_numpy_bit_for_bit(lead):
+    """Bit for bit, except that a zero maximum is compared by value: numpy's
+    own sign for it follows the lane order of its SIMD path, and no caller
+    can see it (a shift of +0 or -0 gives the same exp and log-sum-exp)."""
+    for c in CLASS_AXIS_LENGTHS:
+        for m in class_axis_inputs(lead + (c,), c):
+            got, expect = np.asarray(row_max(m)), np.asarray(m.max(axis=-1))
+            zero = expect == 0.0
+            assert np.array_equal(got[zero], expect[zero]), c
+            assert same_bits(got[~zero], expect[~zero]), c
+
+
+def test_row_max_rejects_an_empty_last_axis():
+    with pytest.raises(ValueError, match="empty"):
+        row_max(np.zeros((3, 0)))
+    assert row_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+def old_log_sum_exp_rows(m):
+    shift = m.max(axis=-1, keepdims=True)
+    return (shift + np.log(np.exp(m - shift).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (10,), (137,), (1000,), (500, 10), (7, 9), (3, 40, 17)])
+def test_log_sum_exp_rows_match_numpy_reductions(shape):
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m in class_axis_inputs(shape, len(shape)):
+            assert same_bits(log_sum_exp_rows(m), old_log_sum_exp_rows(m))
+            if m.ndim == 1:
+                assert same_bits(log_sum_exp(m), float(old_log_sum_exp_rows(m)))
+
+
+def old_normals(rng, n):
+    """`SeededRng.normals` as one draw of 2n uniforms, the reference for
+    the blocked draw."""
+    u = rng._raw(2 * n)
+    u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+@pytest.mark.parametrize("n", [0, 1, _NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1, 3 * _NORMAL_BLOCK + 7])
+def test_rng_blocked_normals_match_one_draw(n):
+    a, b = SeededRng(29), SeededRng(29)
+    a.uniforms(3), b.uniforms(3)  # start off the stream's origin
+    got, expect = a.normals(n), old_normals(b, n)
+    assert got.shape == (n,) and got.dtype == np.float64
+    assert got.tobytes() == expect.tobytes()
+    assert a.next_u64() == b.next_u64()
 
 
 def test_pairwise_single_row():

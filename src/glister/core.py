@@ -172,11 +172,11 @@ class GainState:
     `refresh` recomputes delta and the validation gradient exactly at the
     current lookahead, and projects every row once (`hidden_val_w`, h V_W);
     between refreshes all three are frozen while `add` folds elements into
-    the lookahead.  Each delta is built in one array: the logits, their
-    bias, then the softmax in place, whose class-axis reductions are
-    `row_max` and `row_sum`.  delta is first computed when needed: by the
-    first refresh, or by an `add` before any refresh, at the base
-    parameters.  The candidates are the training rows.  Nothing in the
+    the lookahead.  Each delta is `logit_grads` of the logits h W, with the
+    bias added in place; on a whole data set its softmax reduces the class
+    axis column by column (`row_max`, `row_sum`).  delta is first computed
+    when needed: by the first refresh, or by an `add` before any refresh, at
+    the base parameters.  The candidates are the training rows.  Nothing in the
     package reads `cand_features`; perfbench's tracer counts its rows as
     the work of each refresh (`perfbench/tracing.py`), so it stays.
     """
@@ -198,12 +198,11 @@ class GainState:
         return self.params_template.with_last_layer_vector(self.theta_lookahead)
 
     def _deltas(self, h: np.ndarray, labels: np.ndarray, layer) -> np.ndarray:
-        """delta of the rows with last-layer inputs h under the last layer
-        (W, b), in the array that first holds their logits."""
+        """delta of the rows with last-layer inputs h under the last layer (W, b)."""
         w, b = layer
         z = h @ w
         z += b
-        return logit_grads(z, labels, self.kind, overwrite=True)
+        return logit_grads(z, labels, self.kind)
 
     def refresh(self, val: Dataset) -> None:
         """Exact recomputation of the candidate logit gradients and the

@@ -225,22 +225,10 @@ def loss_value(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind
     raise ValueError(f"unknown loss kind {kind}")
 
 
-def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind, *, overwrite: bool = False) -> np.ndarray:
-    """Per-sample dLoss/dlogits (delta), shape like z, bit for bit
-    `_logit_grads` of the `_targets` rows.  The cross-entropy softmax reduces
-    the class axis with `row_max` and `row_sum`, which beat numpy's per-row
-    reductions on a whole data set, and subtracts 1 at each label instead of
-    a one-hot row.  z is left as it is unless `overwrite`, when the softmax
-    runs in place on z, a float64 array the caller gives up."""
+def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Per-sample dLoss/dlogits (delta), shape like z."""
     y = _check_labels(y, kind, z.shape[1])
-    if kind != LossKind.CROSS_ENTROPY:
-        return _logit_grads(z, _targets(y, kind, z.shape[1]), kind)
-    p = np.subtract(z, row_max(z)[:, None], out=z if overwrite else None)
-    np.exp(p, out=p)
-    p /= row_sum(p)[:, None]
-    at = np.arange(len(y)) * p.shape[1] + y  # the labels' flat positions
-    np.put(p, at, np.take(p, at) - 1.0)
-    return p
+    return _logit_grads(z, _targets(y, kind, z.shape[1]), kind)
 
 
 def _targets(y: np.ndarray, kind: LossKind, width: int) -> np.ndarray:
@@ -255,16 +243,15 @@ def _targets(y: np.ndarray, kind: LossKind, width: int) -> np.ndarray:
 
 
 def _logit_grads(z: np.ndarray, t: np.ndarray, kind: LossKind) -> np.ndarray:
-    """`logit_grads` from `_targets` rows, with no label check, for a
-    mini-batch: numpy's one-call reductions beat `row_max` and `row_sum` on
-    a few rows.  The softmax runs in place on the shifted logits; subtracting
-    a one-hot row is the same IEEE operation as subtracting 1 at the label
-    and leaves every other entry as it is.  Stacked logits (S, n, C) take
-    stacked targets."""
+    """`logit_grads` from `_targets` rows, with no label check.  The softmax
+    reduces the class axis with `row_max` and `row_sum` and runs in place on
+    the shifted logits; subtracting a one-hot row is the same IEEE operation
+    as subtracting 1 at the label and leaves every other entry as it is.
+    Stacked logits (S, n, C) take stacked targets."""
     if kind == LossKind.CROSS_ENTROPY:
-        p = z - z.max(axis=-1, keepdims=True)
+        p = z - row_max(z)[..., None]
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= row_sum(p)[..., None]
         p -= t
         return p
     m = t * z  # margin losses have one score column

@@ -24,6 +24,10 @@ __all__ = [
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of splitmix64
 _NORMAL_BLOCK = 1 << 15  # values per block of `SeededRng.normals`
+# `row_max` and `row_sum` go column by column on a last axis this short ...
+_COLUMNS_MAX_WIDTH = 12
+# ... with at least this many rows per entry
+_COLUMNS_MIN_ROWS = 40
 
 
 def _mix64(z: int) -> int:
@@ -151,15 +155,25 @@ def log_sum_exp_rows(m: np.ndarray) -> np.ndarray:
     return shift + np.log(row_sum(e))
 
 
+def _by_columns(m: np.ndarray) -> bool:
+    """Whether `row_max` and `row_sum` reduce m one column at a time: a last
+    axis of 1 to `_COLUMNS_MAX_WIDTH` entries and at least
+    `_COLUMNS_MIN_ROWS` rows per entry.  numpy reduces a short last axis
+    one row at a time, about 40 ns a row, so a call per column wins on many
+    rows; on few rows (a vector, a mini-batch), or on a wider axis, whose
+    columns lie far apart in memory, numpy's one call wins."""
+    width = m.shape[-1]
+    return 0 < width <= _COLUMNS_MAX_WIDTH and m.size >= _COLUMNS_MIN_ROWS * width * width
+
+
 def row_max(m: np.ndarray) -> np.ndarray:
-    """``m.max(axis=-1)``, one column at a time: a few whole-column calls
-    instead of numpy's per-row loop, which costs about 40 ns a row on a
-    short last axis.  Max is exact in any order, so every value is
-    numpy's; only the sign of a zero maximum may differ, as numpy's own
-    sign follows the lane order of its SIMD path."""
+    """``m.max(axis=-1)``, one column at a time where `_by_columns` says
+    that is faster.  Max is exact in any order, so every value is numpy's;
+    only the sign of a zero maximum may differ, as numpy's own sign follows
+    the lane order of its SIMD path.  numpy raises on an empty last axis."""
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[-1] == 0:
-        raise ValueError("row_max of an empty last axis")
+    if not _by_columns(m):
+        return m.max(axis=-1)
     out = m[..., 0].copy()
     for j in range(1, m.shape[-1]):
         np.maximum(out, m[..., j], out=out)
@@ -168,49 +182,31 @@ def row_max(m: np.ndarray) -> np.ndarray:
 
 def row_sum(m: np.ndarray) -> np.ndarray:
     """``m.sum(axis=-1)`` bit for bit (NaN payloads aside), one column at a
-    time, in numpy's pairwise order for a contiguous last axis: below 8
-    entries they are added in turn to 0.0; otherwise `_pairwise_sum`, and
+    time where `_by_columns` says that is faster, in numpy's pairwise order
+    for a contiguous last axis of at most 12 entries: below 8 they are
+    added in turn to 0.0; otherwise the first 8 are joined as
+    ``((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7))``, the rest added in turn, and
     then ``+ 0.0``, numpy's initial value, so signed zeros match too.  A
     numpy that changes that order fails `tests/test_numerics.py`."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:  # one row: sum it as a 2-D array, whose columns are arrays
-        return row_sum(m[None])[0]
-    n = m.shape[-1]
-    if n >= 8:
-        out = _pairwise_sum(m)
-        out += 0.0
+    if not _by_columns(m):
+        return m.sum(axis=-1)
+    width = m.shape[-1]
+    if width < 8:
+        out = m[..., 0] + 0.0
+        for j in range(1, width):
+            out += m[..., j]
         return out
-    out = m[..., 0] + 0.0 if n else np.zeros(m.shape[:-1])
-    for j in range(1, n):
-        out += m[..., j]
-    return out
-
-
-def _pairwise_sum(m: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of a last axis of n >= 8 entries: up to 128, 8
-    running sums of every 8th entry, joined as
-    ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, then the leftover entries in
-    turn; above 128, the sums of the halves split at n/2 rounded down to a
-    multiple of 8."""
-    n = m.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _pairwise_sum(m[..., :half])
-        out += _pairwise_sum(m[..., half:])
-        return out
-    full = n - n % 8
-    s = [m[..., j] for j in range(8)]
-    for i in range(8, full, 8):
-        s = [a + m[..., i + j] for j, a in enumerate(s)]
-    out = s[0] + s[1]  # three arrays in all: a new array per sum costs more
-    part = s[2] + s[3]
+    out = m[..., 0] + m[..., 1]  # three arrays in all: a new array per sum costs more
+    part = m[..., 2] + m[..., 3]
     out += part
-    np.add(s[4], s[5], out=part)
-    right = s[6] + s[7]
+    np.add(m[..., 4], m[..., 5], out=part)
+    right = m[..., 6] + m[..., 7]
     part += right
     out += part
-    for i in range(full, n):
-        out += m[..., i]
+    for j in range(8, width):
+        out += m[..., j]
+    out += 0.0
     return out
 
 

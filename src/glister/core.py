@@ -496,13 +496,12 @@ def _descent_monitor(train: Dataset, val: Dataset, kind: LossKind):
         dot = float(g_v @ g_t)
         cos = dot / (nt * nv) if nt > 0 and nv > 0 else 0.0
         sigma_t_hat = max(sigma_t_hat, nt)
-        theta = np.concatenate([w.ravel() for w, _ in params.layers])
         if prev is not None:
-            dtheta = float(np.linalg.norm(theta - prev[0]))
+            dtheta = float(np.linalg.norm(params.theta - prev[0]))
             if dtheta > 0:
                 ratio = float(np.linalg.norm(g_v - prev[1])) / dtheta
                 lhat = ratio if lhat is None else max(lhat, ratio)
-        prev = (theta, g_v)
+        prev = (params.theta, g_v)
         bound = 2.0 * nv * cos / (lhat * sigma_t_hat) if lhat and sigma_t_hat > 0 else math.inf
         return dot, cos, nt, bound, nv
 

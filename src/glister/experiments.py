@@ -371,11 +371,9 @@ def build_datasets(data: DataSpec, seed: int):
         train = inject_class_imbalance(
             train, affected_frac, keep_frac, seed if imb_seed is None else imb_seed
         )
-    max_norm = float(np.sqrt((train.features**2).sum(axis=1)).max())
     if data.standardize:
-        train, (val, test), stats = standardize(train, (val, test))
-        max_norm = stats.max_row_norm
-    return train, val, test, max_norm
+        train, (val, test), _ = standardize(train, (val, test))
+    return train, val, test, float(np.sqrt((train.features**2).sum(axis=1)).max())
 
 
 def _cell_run(

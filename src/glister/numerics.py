@@ -211,14 +211,15 @@ def row_sum(m: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances from the rows of `a` to those of `b` (which
-    may be `a` itself), by the steps of ``sq_a[:, None] + sq_b[None, :] - 2 a b^T``
-    clipped at zero; without `b`, the symmetric matrix
-    ``0.5 * ((sq_i + sq_j - 2 a a^T) + its transpose)``, clipped, with an exactly
-    zero diagonal.  Either runs its formula's steps in order, in place, so the
-    result is the same to the bit, from two n x m arrays, not three or more.
+    """Squared Euclidean distances from the rows of `a` to those of `b`
+    (default `a` itself), by the steps of
+    ``sq_a[:, None] + sq_b[None, :] - 2 a b^T`` clipped at zero, run in order
+    and in place, from two n x m arrays, not three or more.  Without `b` the
+    diagonal is set to exactly zero, and the matrix is exactly symmetric:
+    `a` is taken C-contiguous, numpy computes ``a @ a.T`` of such an array
+    as an exactly symmetric product, and IEEE addition commutes.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     c = a if b is None else np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or c.ndim != 2 or a.shape[0] < 1 or c.shape[0] < 1:
         raise ValueError("need 2-D arrays with at least one row")
@@ -227,12 +228,9 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     g *= 2.0
     d = np.add.outer(sq, sq if b is None else np.einsum("ij,ij->i", c, c))
     d -= g
-    if b is not None:
-        return np.clip(d, 0.0, None, out=d)
-    np.add(d, d.T, out=g)
-    np.multiply(g, 0.5, out=d)
     np.clip(d, 0.0, None, out=d)
-    np.fill_diagonal(d, 0.0)
+    if b is None:
+        np.fill_diagonal(d, 0.0)
     return d
 
 

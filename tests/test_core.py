@@ -19,7 +19,7 @@ from glister.core import (
     taylor_gain,
     taylor_proxy,
 )
-from glister.core import EpochRecord, RunTrace, _selection_loop, glister_run
+from glister.core import EpochRecord, RunTrace, _descent_monitor, _selection_loop, glister_run
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.experiments import glister_config
 from glister.models import (
@@ -520,6 +520,21 @@ def test_monitor_requires_selection_records():
     trace = synthetic_trace([(1.0, None, None)])
     with pytest.raises(ValueError):
         monitor_theorem2(trace)
+
+
+def test_descent_monitor_step_counts_the_biases(blob_data):
+    """|Δθ| covers the biases, as g_v does: two selections whose parameters
+    differ only in a bias give a finite step-size bound."""
+    train, val, _ = blob_data
+    p0 = linear_params(train)
+    theta = p0.theta.copy()
+    theta[-1] += 0.5  # the output layer's last bias
+    p1 = p0.with_theta(theta)
+    assert all(np.array_equal(w0, w1) for (w0, _), (w1, _) in zip(p0.layers, p1.layers))
+    monitor = _descent_monitor(train, val, LossKind.CROSS_ENTROPY)
+    subset = list(range(20))
+    assert monitor(p0, subset)[3] == math.inf
+    assert math.isfinite(monitor(p1, subset)[3])
 
 
 def test_subset_digest_order_invariant():

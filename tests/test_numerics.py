@@ -337,6 +337,20 @@ def _cross_by_formula(g, c):
     return np.clip(g2[:, None] + c2[None, :] - 2.0 * (g @ c.T), 0.0, None)
 
 
+def test_pairwise_non_contiguous_input_is_exactly_symmetric():
+    """A Fortran-ordered array or a column-strided view is taken C-contiguous,
+    so its distances are exactly symmetric with a zero diagonal and equal
+    those of its contiguous copy.  They are not compared with
+    `_pairwise_by_formula`: on such a layout the old symmetrizing formula
+    can round the last bit differently, and no package caller passes one."""
+    x = SeededRng(23).normals(300 * 10).reshape(300, 10) * 2.0
+    for a in (np.asfortranarray(x), x[:, ::2]):
+        d = pairwise_sq_dists(a)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.array_equal(d, pairwise_sq_dists(np.ascontiguousarray(a)))
+
+
 def test_pairwise_in_place_steps_match_formula():
     rng = SeededRng(21)
     pts = rng.normals(300 * 7).reshape(300, 7) * 3.0
@@ -347,6 +361,8 @@ def test_pairwise_in_place_steps_match_formula():
         pts[:1],
         wide,  # wide: n < d
         pts[:, :1] + 1e8,  # cancellation leaves tiny negatives to clip
+        SeededRng(22).normals(1002 * 202).reshape(1002, 202),  # online-noise's CRAIG gradients
+        SeededRng(22).normals(250 * 2).reshape(250, 2),  # FASS's candidates on active-rare
     ]
     for a in cases:
         assert np.array_equal(pairwise_sq_dists(a), _pairwise_by_formula(a))

@@ -41,7 +41,9 @@ from .models import (
     logit_grads,
     loss_value,
     output_width,
-    sgd_epoch_stack,
+    sgd_window_stack,
+    _logit_grads,
+    _targets,
 )
 from .numerics import SeededRng, log_sum_exp_rows, pairwise_sq_dists
 from .submodular import (
@@ -174,7 +176,9 @@ class GainState:
     between refreshes all three are frozen while `add` folds elements into
     the lookahead.  Each delta is `logit_grads` of the logits h W, with the
     bias added in place; on a whole data set its softmax reduces the class
-    axis column by column (`row_max`, `row_sum`).  delta is first computed
+    axis column by column (`row_max`, `row_sum`).  The candidate labels are
+    checked and encoded once, at construction, and the validation labels
+    once with the validation activations.  delta is first computed
     when needed: by the first refresh, or by an `add` before any refresh, at
     the base parameters.  The candidates are the training rows.  Nothing in the
     package reads `cand_features`; perfbench's tracer counts its rows as
@@ -192,27 +196,35 @@ class GainState:
     val_grad_at_lookahead: np.ndarray | None = None
     hidden_val_w: np.ndarray | None = None  # (n_cand, C) h V_W at the last refresh
     refresh_count: int = 0
-    _val_hidden: tuple | None = None  # (val, its penultimate activations)
+    _val_hidden: tuple | None = None  # (val, its penultimate activations, its targets)
+    _cand_targets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the labels hold for the whole selection: check and encode them once
+        self._cand_targets = _targets(self.cand_labels, self.kind, self.params_template.out_dim)
 
     def lookahead_params(self) -> ModelParams:
         return self.params_template.with_last_layer_vector(self.theta_lookahead)
 
-    def _deltas(self, h: np.ndarray, labels: np.ndarray, layer) -> np.ndarray:
-        """delta of the rows with last-layer inputs h under the last layer (W, b)."""
+    def _deltas(self, h: np.ndarray, targets: np.ndarray, layer) -> np.ndarray:
+        """delta of the rows with last-layer inputs h and encoded labels
+        `targets` under the last layer (W, b)."""
         w, b = layer
         z = h @ w
         z += b
-        return logit_grads(z, labels, self.kind)
+        return _logit_grads(z, targets, self.kind)
 
     def refresh(self, val: Dataset) -> None:
         """Exact recomputation of the candidate logit gradients and the
         validation log-likelihood gradient at the current lookahead."""
         look = self.lookahead_params()
-        self.logit_grads = self._deltas(self.hidden, self.cand_labels, look.layers[-1])
+        self.logit_grads = self._deltas(self.hidden, self._cand_targets, look.layers[-1])
         if self._val_hidden is None or self._val_hidden[0] is not val:
-            self._val_hidden = (val, last_layer_inputs(look, val.features))
-        h_v = self._val_hidden[1]
-        delta_v = self._deltas(h_v, val.labels, look.layers[-1])
+            self._val_hidden = (
+                val, last_layer_inputs(look, val.features), _targets(val.labels, self.kind, look.out_dim)
+            )
+        _, h_v, t_v = self._val_hidden
+        delta_v = self._deltas(h_v, t_v, look.layers[-1])
         v_w = -(h_v.T @ delta_v)
         self.val_grad_at_lookahead = np.concatenate([v_w.ravel(), -delta_v.sum(axis=0)])
         self.hidden_val_w = self.hidden @ v_w
@@ -222,7 +234,7 @@ class GainState:
         """Fold the gradients of the candidates at `positions` into the lookahead."""
         if len(positions):
             if self.logit_grads is None:  # never refreshed: the lookahead is the base
-                self.logit_grads = self._deltas(self.hidden, self.cand_labels, self.params_template.layers[-1])
+                self.logit_grads = self._deltas(self.hidden, self._cand_targets, self.params_template.layers[-1])
             rows = -last_layer_rows(self.hidden[positions], self.logit_grads[positions])
             self.theta_lookahead = self.theta_lookahead + self.eta * rows.sum(axis=0)
 
@@ -534,13 +546,17 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     stepped together; returns (params, subset, trace) per run.
 
     Epoch t: each run calls ``select(params, rng)`` when t mod its `every`
-    == 0 and sorts the subset; then one `sgd_epoch_stack` call runs one
-    epoch of mini-batch SGD for every run on its subset; then each run is
+    == 0 and sorts the subset; then SGD runs one epoch of mini-batch SGD for
+    every run on its subset; then each run that keeps `record`s is
     evaluated and gets its own record.  Run i draws selections from the
     stream SeededRng(seed).split(_SELECT_STREAM + t) and SGD from split(t)
     of its own seed, so each run's trace is the one it has alone (none
     unless `record`).  The runs must share lr, batch size, loss,
-    architecture and subset size.  `sel_s`
+    architecture and subset size.  A stack whose runs keep no records
+    reads nothing between selections, so one `sgd_window_stack` call steps
+    it through each window of epochs up to the next epoch where any run
+    selects; a stack with a recording run takes one-epoch windows.  Every
+    window trains on the subset rows gathered at the selection.  `sel_s`
     times only the run's `select` call; its `monitor` then fills the
     selection epoch's monitor columns.  `wall_s` is the elapsed time of the
     whole list, selections included, up to the end of the epoch's SGD; the
@@ -558,8 +574,10 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     subsets: list[list[int]] = [[] for _ in runs]
     held: list[tuple] = [()] * len(runs)  # (rows, labels, digest) of each subset
     traces = [RunTrace(lr=cfg.lr) for _ in runs]
+    recording = any(r.record for r in runs)
     start = time.perf_counter()
-    for t in range(epochs):
+    t = 0
+    while t < epochs:
         sel_s = [0.0] * len(runs)
         columns = [None] * len(runs)
         for i, run in enumerate(runs):
@@ -575,10 +593,13 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
                 held[i] = (run.train.features[subset], run.train.labels[subset], subset_digest(subset))
                 if run.monitor is not None:
                     columns[i] = run.monitor(params[i], subset)
+        stop = t + 1 if recording else min([epochs] + [(t // r.every + 1) * r.every for r in runs])
+        window = range(t, stop)
         t0 = time.perf_counter()
-        params = sgd_epoch_stack(
-            params, [r.train for r in runs], subsets, cfg.lr, cfg.batch_size,
-            [root.split(t) for root in roots], cfg.loss, [f"{r.name}, epoch {t}" for r in runs],
+        params = sgd_window_stack(
+            params, [h[0] for h in held], [h[1] for h in held], cfg.lr, cfg.batch_size,
+            [[root.split(e) for root in roots] for e in window], cfg.loss,
+            [[f"{r.name}, epoch {e}" for r in runs] for e in window],
         )
         end = time.perf_counter()
         wall_s = end - start
@@ -601,6 +622,7 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
             if cols is not None:
                 rec.dot_vt, rec.cos_theta, rec.grad_norm_t, rec.lr_bound, rec.grad_norm_v = cols
             trace.records.append(rec)
+        t = stop
     return list(zip(params, subsets, traces))
 
 

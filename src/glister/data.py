@@ -311,7 +311,6 @@ def gen_synthetic(kind: str, n_per_class: int, seed: int):
 class StandardizeStats:
     mean: np.ndarray
     std: np.ndarray
-    max_row_norm: float  # achieved feature-norm bound after scaling
 
 
 def standardize(train: Dataset, others: tuple[Dataset, ...] = ()):
@@ -333,8 +332,7 @@ def standardize(train: Dataset, others: tuple[Dataset, ...] = ()):
 
     train_s = apply(train)
     others_s = tuple(apply(ds) for ds in others)
-    max_norm = float(np.sqrt((train_s.features**2).sum(axis=1)).max())
-    return train_s, others_s, StandardizeStats(mean, std, max_norm)
+    return train_s, others_s, StandardizeStats(mean, std)
 
 
 def discretize_features(

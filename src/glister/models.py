@@ -31,6 +31,7 @@ __all__ = [
     "last_layer_rows",
     "sgd_epoch",
     "sgd_epoch_stack",
+    "sgd_window_stack",
     "hypothesized_labels",
     "accuracy",
     "output_width",
@@ -145,27 +146,20 @@ def init_params(layer_dims: list[int], activation: str, rng: SeededRng) -> Model
     return ModelParams(tuple(_layer_views(theta, shapes)), activation)
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping every layer's output for backprop."""
-    if x.shape[1] != params.input_dim:
-        raise ValueError("input width does not match first layer")
-    return _forward_layers(params.layers, params.activation, x)
-
-
-def _forward_layers(layers, activation: str, x: np.ndarray) -> list:
-    """`_forward_cached` on raw (W, b) pairs, with no shape check: the input
+def _forward_cached(params: ModelParams, x: np.ndarray) -> list:
+    """Forward pass keeping every layer's output for backprop: the input
     followed by each layer's output, the ReLU applied in place.  A ReLU
     output is positive exactly where its pre-activation is, so backprop
-    needs nothing else.  A stack of runs is the same call on x (S, n, d)
-    with W (S, d, H) and b (S, 1, H): every product is one matmul per run."""
+    needs nothing else."""
+    if x.shape[1] != params.input_dim:
+        raise ValueError("input width does not match first layer")
     acts = [x]
-    for li, (w, b) in enumerate(layers):
-        h = x @ w
-        h += b
-        if li < len(layers) - 1 and activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        acts.append(h)
-        x = h
+    for li, (w, b) in enumerate(params.layers):
+        x = x @ w
+        x += b
+        if li < len(params.layers) - 1 and params.activation == "relu":
+            np.maximum(x, 0.0, out=x)
+        acts.append(x)
     return acts
 
 
@@ -227,14 +221,15 @@ def loss_value(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind
 
 def logit_grads(z: np.ndarray, y: np.ndarray, kind: LossKind) -> np.ndarray:
     """Per-sample dLoss/dlogits (delta), shape like z."""
-    y = _check_labels(y, kind, z.shape[1])
     return _logit_grads(z, _targets(y, kind, z.shape[1]), kind)
 
 
 def _targets(y: np.ndarray, kind: LossKind, width: int) -> np.ndarray:
-    """Checked labels encoded for `_logit_grads`, one row per label: one-hot
-    rows (n, width) for cross-entropy, a column of -1/+1 signs (n, 1) for
-    the margin losses.  A stack of runs stacks these along a new first axis."""
+    """Labels checked for `width` output columns (`_check_labels`) and
+    encoded for `_logit_grads`, one row per label: one-hot rows (n, width)
+    for cross-entropy, a column of -1/+1 signs (n, 1) for the margin
+    losses.  A stack of runs stacks these along a new first axis."""
+    y = _check_labels(y, kind, width)
     if kind == LossKind.CROSS_ENTROPY:
         onehot = np.zeros((len(y), width))
         onehot[np.arange(len(y)), y] = 1.0
@@ -270,28 +265,14 @@ def _logit_grads(z: np.ndarray, t: np.ndarray, kind: LossKind) -> np.ndarray:
 def grad_full(params: ModelParams, x: np.ndarray, y: np.ndarray, kind: LossKind):
     """Analytic gradient of `loss_value` w.r.t. every layer; returns a list of
     (dW, db) matching `params.layers`."""
-    x = np.asarray(x, dtype=np.float64)
-    acts = _forward_cached(params, x)
-    return _backprop(params.layers, params.activation, acts, logit_grads(acts[-1], y, kind))
-
-
-def _backprop(layers, activation: str, acts: list, delta: np.ndarray, out=None):
-    """Per-layer (dW, db) of the summed loss from `_forward_layers` outputs
-    over raw (W, b) pairs and the logit gradients delta; `grad_full` and
-    `sgd_epoch_stack` share it, the latter with a leading stack axis and
-    with `out`, a list of (dW, db) arrays shaped like `layers` that receive
-    the gradients.  Each db takes its bias's shape: (H,), or (1, H) and
-    (S, 1, H) with a row axis."""
-    grads = [(None, None)] * len(layers) if out is None else out
-    for li in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[li]
-        grads[li] = (
-            np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw),
-            np.add.reduce(delta, axis=-2, keepdims=layers[li][1].ndim > 1, out=gb),
-        )
+    acts = _forward_cached(params, np.asarray(x, dtype=np.float64))
+    delta = logit_grads(acts[-1], y, kind)
+    grads = [None] * len(params.layers)
+    for li in range(len(params.layers) - 1, -1, -1):
+        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
         if li > 0:
-            delta = delta @ layers[li][0].swapaxes(-1, -2)
-            if activation == "relu":
+            delta = delta @ params.layers[li][0].T
+            if params.activation == "relu":
                 delta *= acts[li] > 0.0
     return grads
 
@@ -330,9 +311,8 @@ def sgd_epoch(
     kind: LossKind = LossKind.CROSS_ENTROPY,
 ) -> ModelParams:
     """One pass of mini-batch SGD over the seeded-shuffled subset: the
-    stack of one of `sgd_epoch_stack`, which holds the one implementation.
-    Each batch takes a step of lr times the summed batch gradient; the input
-    params are left unmodified."""
+    stack of one of `sgd_epoch_stack`.  Each batch takes a step of lr times
+    the summed batch gradient; the input params are left unmodified."""
     return sgd_epoch_stack([params], [ds], [subset], lr, batch_size, [rng], kind)[0]
 
 
@@ -346,64 +326,110 @@ def sgd_epoch_stack(
     kind: LossKind = LossKind.CROSS_ENTROPY,
     names=None,
 ) -> list[ModelParams]:
-    """One SGD epoch for each of S independent runs, stepped together.
-
-    Run i shuffles `subsets[i]` with `rngs[i]` and trains `params[i]` on
-    those rows of `datasets[i]`, exactly as it would alone: the stack only
-    shares the numpy calls.  Every run needs the same architecture and a
-    subset of the same size, so that batch j of every run is one
-    (S, batch, ·) slice.  The epoch gathers each run's shuffled rows, checks
-    their labels and encodes them once, and copies every run's `theta` into
-    one row `theta[i]` of a private buffer.  Each batch writes the
-    gradients into the views of a buffer of the same shape and steps every
-    parameter of every run with one `grad *= lr; theta -= grad`, which
-    rounds exactly as `w - lr * gw` does.  A stacked matmul makes one BLAS
-    call per run, the same call as the run's own 2-D product, so every run's
-    parameters are bit for bit those of a stack of one.  Each result is
-    `with_theta` of its row, validated once, at the end of the epoch; a
-    non-finite run raises the `ModelParams` ValueError prefixed with its
-    entry of `names`.
-    """
+    """One SGD epoch for each of S independent runs, stepped together: the
+    one-epoch window of `sgd_window_stack` on the rows `subsets[i]` of
+    `datasets[i]`, with run i shuffled by `rngs[i]` and its errors prefixed
+    with `names[i]`."""
     subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
-    size = subsets[0].size
+    return sgd_window_stack(
+        params, [ds.features[s] for ds, s in zip(datasets, subsets)],
+        [ds.labels[s] for ds, s in zip(datasets, subsets)], lr, batch_size, [rngs], kind,
+        None if names is None else [names],
+    )
+
+
+def sgd_window_stack(
+    params,
+    features,
+    labels,
+    lr: float,
+    batch_size: int,
+    epoch_rngs,
+    kind: LossKind = LossKind.CROSS_ENTROPY,
+    names=None,
+) -> list[ModelParams]:
+    """E SGD epochs for each of S independent runs, stepped together.
+
+    Run i trains `params[i]` on its subset's rows `features[i]` and
+    `labels[i]`; epoch e visits them in the order `epoch_rngs[e][i].shuffle`
+    gives the subset, exactly as the run would alone.  Every run needs the
+    same architecture and a subset of the same size, so that batch j of
+    every run is one (S, batch, ·) slice.  The window checks and encodes
+    the labels once and keeps every run's `theta` in one row of a private
+    buffer; each epoch gathers only the shuffled positions, as shuffling
+    `arange(size)` draws the subset's permutation.  Each batch steps every
+    parameter with one `grad *= lr; theta -= grad`, which rounds exactly as
+    `w - lr * gw`; a stacked matmul makes one BLAS call per run, the same
+    call as the run's own 2-D product; and `np.maximum.reduce` and
+    `np.add.reduce` give the values of `row_max` and `row_sum`.  So every
+    run's parameters are bit for bit those of per-batch `grad_full` steps
+    alone.  After each epoch a run with a non-finite parameter raises the
+    `ModelParams` ValueError prefixed with `names[e][i]`.
+    """
+    size = len(labels[0])
     if size == 0:
         raise ValueError("empty subset")
-    if any(s.size != size for s in subsets):
+    if any(len(y) != size for y in labels):
         raise ValueError("the runs of a stack need subsets of one size")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     first = params[0]
     shapes = [w.shape for w, _ in first.layers]
-    for p, ds in zip(params, datasets):
+    for p, x in zip(params, features):
         if p.activation != first.activation or [w.shape for w, _ in p.layers] != shapes:
             raise ValueError("the runs of a stack need one architecture")
-        if ds.features.shape[1] != p.input_dim:
+        if x.shape[1] != p.input_dim:
             raise ValueError("input width does not match first layer")
-    orders = [rng.shuffle(s) for rng, s in zip(rngs, subsets)]
-    x = np.array([ds.features[o] for ds, o in zip(datasets, orders)])
-    t = np.array([
-        _targets(_check_labels(ds.labels[o], kind, first.out_dim), kind, first.out_dim)
-        for ds, o in zip(datasets, orders)
-    ])
+    targets = [_targets(y, kind, first.out_dim) for y in labels]
+    x = np.empty((len(params), size, shapes[0][0]))
+    t = np.empty((len(params), size, targets[0].shape[1]))
     theta = np.array([p.theta for p in params])
     grad = np.empty_like(theta)
-    layers, grads = _layer_views(theta, shapes), _layer_views(grad, shapes)
-    for start in range(0, size, batch_size):
-        stop = start + batch_size
-        acts = _forward_layers(layers, first.activation, x[:, start:stop])
-        delta = _logit_grads(acts[-1], t[:, start:stop], kind)
-        _backprop(layers, first.activation, acts, delta, out=grads)
-        grad *= lr
-        theta -= grad
-    out = []
-    for i, row in enumerate(theta):
-        try:
-            out.append(first.with_theta(row))
-        except ValueError as exc:
-            if names is None:
-                raise
-            raise ValueError(f"{names[i]}: {exc}") from None
-    return out
+    (ws, bs), (gws, gbs) = (zip(*_layer_views(a, shapes)) for a in (theta, grad))
+    wts = [w.swapaxes(-1, -2) for w in ws]
+    relu, last = first.activation == "relu", len(shapes) - 1
+    positions = np.arange(size)
+    for e, rngs in enumerate(epoch_rngs):
+        for i, rng in enumerate(rngs):
+            order = rng.shuffle(positions)
+            np.take(features[i], order, axis=0, out=x[i])
+            np.take(targets[i], order, axis=0, out=t[i])
+        for start in range(0, size, batch_size):
+            h = x[:, start:start + batch_size]
+            acts = [h]
+            for li in range(last):
+                h = h @ ws[li]
+                h += bs[li]
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+                acts.append(h)
+            delta = h @ ws[last]
+            delta += bs[last]
+            if kind == LossKind.CROSS_ENTROPY:
+                delta -= np.maximum.reduce(delta, axis=-1, keepdims=True)
+                np.exp(delta, out=delta)
+                delta /= np.add.reduce(delta, axis=-1, keepdims=True)
+                delta -= t[:, start:start + batch_size]
+            else:
+                delta = _logit_grads(delta, t[:, start:start + batch_size], kind)
+            for li in range(last, -1, -1):
+                np.matmul(acts[li].swapaxes(-1, -2), delta, out=gws[li])
+                np.add.reduce(delta, axis=-2, keepdims=True, out=gbs[li])
+                if li:
+                    delta = delta @ wts[li]
+                    if relu:
+                        delta *= acts[li] > 0.0
+            grad *= lr
+            theta -= grad
+        if not np.isfinite(theta).all():
+            i = int(np.flatnonzero(~np.isfinite(theta).all(axis=1))[0])
+            try:
+                first.with_theta(theta[i])
+            except ValueError as exc:
+                if names is None:
+                    raise
+                raise ValueError(f"{names[e][i]}: {exc}") from None
+    return [first.with_theta(row) for row in theta]
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list:

@@ -357,10 +357,13 @@ class _FacilityLocation(SetFunctionOracle):
         return float(self._coverage(subset).sum())
 
     def marginals(self, candidates, subset) -> np.ndarray:
-        cov = self._coverage(subset)
         block = self._sim[np.asarray(candidates, dtype=np.int64)]
-        block -= cov
-        return np.maximum(block, 0.0, out=block).sum(axis=1)
+        # every entry of sim is >= +0.0, so on the empty set, whose coverage
+        # is 0, the subtraction and the clamp would return the block as it is
+        if len(subset):
+            block -= self._coverage(subset)
+            np.maximum(block, 0.0, out=block)
+        return block.sum(axis=1)
 
 
 def facility_location(

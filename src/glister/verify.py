@@ -122,7 +122,11 @@ def _runtime(start: float, limit: float) -> Check:
 
 def _seed_means(experiment, seeds) -> list[float]:
     """The mean over `seeds` of each value that `experiment(seed)` returns."""
-    res = [experiment(seed) for seed in seeds]
+    return _means([experiment(seed) for seed in seeds])
+
+
+def _means(res) -> list[float]:
+    """The mean over the tuples `res` of each of their values."""
     return [float(np.mean([r[i] for r in res])) for i in range(len(res[0]))]
 
 
@@ -141,6 +145,13 @@ def _fixed_run(train: Dataset, val: Dataset, test: Dataset, spec: ModelSpec, cfg
     the config's initial parameters, with no per-epoch records."""
     params = init_model_params(train, spec, cfg)
     return Run(train, val, test, params, cfg, lambda _params, _rng: subset, epochs, name, record=False)
+
+
+def _final_only(run: Run) -> Run:
+    """`run` with no per-epoch records or monitor columns, which its
+    experiment never reads: its selections and parameters stay the same,
+    and a stack of such runs steps whole windows between selections."""
+    return replace(run, monitor=None, record=False)
 
 
 def _away_from_kinks(params, x, y, kind, margin=1e-4) -> bool:
@@ -393,7 +404,7 @@ def noise_experiment(seed: int):
     rsubset = SeededRng(cfg.seed).split(1 << 33).sample(np.arange(train.n), cfg.resolve_k(train.n)).tolist()
     epochs = cfgd["epochs"]
     (params, subset, _), (noisy, _, _), (ceiling, _, _) = _selection_loop([
-        glister_run(train, val, test, spec, cfg),
+        _final_only(glister_run(train, val, test, spec, cfg)),
         _fixed_run(train, val, test, spec, cfg, rsubset, epochs, "random"),
         _fixed_run(clean, val, test, spec, cfg, rsubset, epochs, "random on clean labels"),
     ], epochs)
@@ -443,7 +454,7 @@ def imbalance_experiment(seed: int):
     k = cfg.resolve_k(train.n)
     rsubset = random_subset(train, k, SeededRng(cfg.seed).split(1 << 33), match_distribution=train)
     (params, subset, _), (rparams, _, _) = _selection_loop([
-        glister_run(train, val, test, spec, cfg),
+        _final_only(glister_run(train, val, test, spec, cfg)),
         _fixed_run(train, val, test, spec, cfg, rsubset, cfgd["epochs"], "proportional random"),
     ], cfgd["epochs"])
     rare_mask = np.isin(train.labels, rare)
@@ -498,9 +509,9 @@ def downsample_classes(ds: Dataset, per_class: dict, rng: SeededRng) -> Dataset:
     return ds.take(sorted(keep))
 
 
-def active_experiment(seed: int):
-    """Paired glister-active / random-acquisition run on a pool whose two
-    overlapping classes are rare; returns (glister_acc, random_acc).
+def _active_runs(seed: int) -> list:
+    """The glister-active and random-acquisition `active_run`s of one seed
+    on a pool whose two overlapping classes are rare.
 
     Every rare label is irreplaceable here, so acquisition quality shows up
     directly in the final accuracy."""
@@ -517,17 +528,32 @@ def active_experiment(seed: int):
     spec = ModelSpec("mlp", hidden=cfgd["hidden"])
     initial = initial_labeled(pool, cfgd["initial"], SeededRng(seed).split(71))
     args = (pool, val, test, initial, spec, cfg, cfgd["rounds"], cfgd["batch"], cfgd["epochs_per_round"])
-    actives = [active_run(strat, *args) for strat in ("glister", "random")]
-    train_active(actives, (cfgd["rounds"] + 1) * cfgd["epochs_per_round"])
-    return tuple(trace.final_test_acc for _, _, trace in actives)
+    return [active_run(strat, *args) for strat in ("glister", "random")]
+
+
+def _active_accuracies(seeds) -> list[tuple[float, ...]]:
+    """(glister_acc, random_acc) per seed, from one `train_active` stack of
+    every seed's `_active_runs`: the runs share the architecture, lr, batch
+    size and labeled-set sizes, and each trains as it would alone."""
+    cfgd = ACTIVE_SETUP
+    per_seed = [_active_runs(seed) for seed in seeds]
+    train_active([a for actives in per_seed for a in actives], (cfgd["rounds"] + 1) * cfgd["epochs_per_round"])
+    return [tuple(trace.final_test_acc for _, _, trace in actives) for actives in per_seed]
+
+
+def active_experiment(seed: int):
+    """Paired glister-active / random-acquisition run of one seed, stepped as
+    one stack; returns (glister_acc, random_acc)."""
+    return _active_accuracies([seed])[0]
 
 
 def suite_active(seed: int = 0) -> list[Check]:
     """Criterion 7: on the seed means of `active_experiment`, glister-active
-    acquisition must beat random acquisition."""
+    acquisition must beat random acquisition.  All seeds train as one
+    stack."""
     cfgd = ACTIVE_SETUP
     start = time.perf_counter()
-    g, rn = _seed_means(active_experiment, cfgd["seeds"])
+    g, rn = _means(_active_accuracies(cfgd["seeds"]))
     return [
         Check(f"active: glister-active accuracy >= random acquisition + {100 * cfgd['margin']:.0f} points",
               g >= rn + cfgd["margin"], f"glister-active {g:.3f} vs random acquisition {rn:.3f}"),
@@ -666,6 +692,21 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     same = [trace == run_active(s, *args)[2] for s, (_, _, trace) in zip(ACQUIRE_STRATEGIES, actives)]
     checks.append(Check("lockstep active runs match solo runs", all(same),
                         ", ".join(s for s, ok in zip(ACQUIRE_STRATEGIES, same) if not ok)))
+    # two seeds in one stack, each with its own seed labels, as criterion 7 trains
+    seeds = (seed, seed + 1)
+    per_seed = [
+        (train, val, test, initial_labeled(train, 6, SeededRng(s).split(71)), spec,
+         replace(cfg, budget_frac=None, seed=s), 2, 5, 3)
+        for s in seeds
+    ]
+    cross = [(s, a, active_run(s, *a)) for a in per_seed for s in ("glister", "random")]
+    finals = train_active([active for _, _, active in cross], 9)
+    same = []
+    for (s, a, (_, _, trace)), p in zip(cross, finals):
+        alone, _, solo = run_active(s, *a)
+        same.append(trace == solo and np.array_equal(p.theta, alone.theta))
+    checks.append(Check("cross-seed active stack matches per-seed runs", all(same),
+                        ", ".join(f"{s} seed {a[5].seed}" for (s, a, _), ok in zip(cross, same) if not ok)))
     params = init_model_params(train, spec, cfg)
     sels = [greedy_dss(train, val, params, cfg) for _ in range(2)]
     checks.append(Check("greedy selection identical across runs", sels[0] == sels[1]))

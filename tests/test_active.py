@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from glister import active
-from glister.active import PoolState, fass_acquire, initial_labeled, random_acquire, run_active
+from glister.active import (
+    ACQUIRE_STRATEGIES, PoolState, active_run, fass_acquire, initial_labeled, random_acquire, run_active,
+    train_active,
+)
 from glister.core import GlisterConfig, _selection_loop
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.models import LossKind, ModelParams, ModelSpec, init_params, sgd_epoch
 from glister.core import init_model_params
 from glister.numerics import SeededRng
+
+from test_core import track_windows
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +189,30 @@ def test_active_acquire_all_equals_warm_start_then_full_train(pool_data):
     for t in range(epochs, 2 * epochs):
         manual = sgd_epoch(manual, pool, state.labeled, cfg.lr, cfg.batch_size, root.split(t), cfg.loss)
     assert np.array_equal(params.theta, manual.theta)
+
+
+def test_active_stack_steps_by_windows_as_per_epoch(pool_data, monkeypatch):
+    """Active runs keep no records, so their stack takes one SGD call per
+    round; its parameters and round traces are bit for bit those of one
+    `sgd_epoch` call per run and epoch."""
+    pool, val, test = pool_data
+    init = initial_labeled(pool, 10, SeededRng(3))
+    spec = ModelSpec("mlp", hidden=6)
+
+    def train():
+        actives = [
+            active_run(s, pool, val, test, init, spec, small_cfg(seed), 3, 8, 5)
+            for seed, s in enumerate(ACQUIRE_STRATEGIES)
+        ]
+        return train_active(actives, 20), [trace for _, _, trace in actives]
+
+    windows = track_windows(monkeypatch)
+    got = train()
+    assert windows == [5] * 4
+    track_windows(monkeypatch, per_epoch=True)
+    want = train()
+    assert got[1] == want[1] and all(len(trace.rounds) == 3 for trace in got[1])
+    assert all(np.array_equal(p.theta, q.theta) for p, q in zip(got[0], want[0], strict=True))
 
 
 def test_active_pool_exhausted(pool_data):

@@ -19,11 +19,13 @@ from glister.core import (
     taylor_gain,
     taylor_proxy,
 )
-from glister.core import EpochRecord, RunTrace, _descent_monitor, _selection_loop, glister_run
+from glister import core
+from glister.core import EpochRecord, Run, RunTrace, _descent_monitor, _selection_loop, glister_run
 from glister.data import Dataset, SplitSpec, gen_synthetic, split
 from glister.experiments import glister_config
 from glister.models import (
     LossKind,
+    ModelParams,
     ModelSpec,
     grad_full,
     init_params,
@@ -438,6 +440,106 @@ def test_unrecorded_run_steps_as_recorded_and_keeps_no_records(blob_data):
     assert s0 == s1 and len(t0.records) == 5
     assert t1.records == [] and t1.sgd_s == t0.sgd_s > 0
     assert np.array_equal(p0.theta, p1.theta)
+
+
+def track_windows(monkeypatch, per_epoch=False) -> list[int]:
+    """The number of epochs of each window `_selection_loop` steps, in
+    order.  With `per_epoch`, each window is stepped instead as one
+    `sgd_epoch` call per run and epoch, the reference for the windows."""
+    windows = []
+    stack = core.sgd_window_stack
+
+    def step(params, features, labels, lr, batch_size, epoch_rngs, kind, names):
+        windows.append(len(epoch_rngs))
+        if not per_epoch:
+            return stack(params, features, labels, lr, batch_size, epoch_rngs, kind, names)
+        for rngs, epoch_names in zip(epoch_rngs, names):
+            stepped = []
+            for p, x, y, rng, name in zip(params, features, labels, rngs, epoch_names):
+                try:
+                    ds = Dataset(x, y, int(y.max()) + 1)
+                    stepped.append(sgd_epoch(p, ds, range(len(y)), lr, batch_size, rng, kind))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+            params = stepped
+        return params
+
+    monkeypatch.setattr(core, "sgd_window_stack", step)
+    return windows
+
+
+def _untimed(records):
+    return [replace(r, wall_s=0.0, sel_s=0.0) for r in records]
+
+
+def _assert_same_results(got, want):
+    for (p0, s0, t0), (p1, s1, t1) in zip(got, want, strict=True):
+        assert s0 == s1 and np.array_equal(p0.theta, p1.theta)
+        assert _untimed(t0.records) == _untimed(t1.records)
+
+
+def test_record_free_runs_of_different_periods_step_by_windows(blob_data, monkeypatch):
+    """Record-free runs that select every 2 and every 3 epochs step through
+    windows that end where either selects, bit for bit as per epoch."""
+    train, val, test = blob_data
+    cfg = GlisterConfig(budget_frac=0.3, lr=0.003, batch_size=10)
+    spec = ModelSpec("mlp", hidden=6)
+    runs = [
+        replace(glister_run(train, val, test, spec, replace(cfg, seed=seed)), every=every,
+                monitor=None, record=False)
+        for seed, every in ((5, 2), (6, 3))
+    ]
+    windows = track_windows(monkeypatch)
+    got = _selection_loop(runs, 7)
+    assert windows == [2, 1, 1, 2, 1]  # selections at epochs 0, 2, 3, 4 and 6
+    reference = track_windows(monkeypatch, per_epoch=True)
+    want = _selection_loop(runs, 7)
+    assert reference == windows
+    _assert_same_results(got, want)
+    assert all(trace.records == [] for _, _, trace in got)
+
+
+def test_stack_with_a_recording_run_steps_one_epoch_at_a_time(blob_data, monkeypatch):
+    """A recording run reads its parameters after every epoch, so its stack
+    keeps one-epoch windows; both runs step as per epoch."""
+    train, val, test = blob_data
+    cfg = GlisterConfig(budget_frac=0.3, select_every=2, lr=0.003, batch_size=10, seed=5)
+    spec = ModelSpec("mlp", hidden=6)
+
+    def runs():  # fresh runs: the descent monitor keeps state across selections
+        silent = glister_run(train, val, test, spec, replace(cfg, seed=6))
+        return [glister_run(train, val, test, spec, cfg), replace(silent, every=3, record=False)]
+
+    windows = track_windows(monkeypatch)
+    got = _selection_loop(runs(), 7)
+    assert windows == [1] * 7
+    track_windows(monkeypatch, per_epoch=True)
+    want = _selection_loop(runs(), 7)
+    _assert_same_results(got, want)
+    assert len(got[0][2].records) == 7 and got[1][2].records == []
+
+
+def test_run_diverging_mid_window_is_named_with_its_epoch(monkeypatch):
+    """A record-free run that goes non-finite inside a window raises with its
+    name and the epoch where it did, as it would stepped per epoch."""
+    train = gen_synthetic("separable-2", 20, seed=1)
+    cfg = GlisterConfig(k=train.n, lr=0.3, batch_size=4, loss=LossKind.SQUARED, seed=1)
+    tame = init_params([2, 1], "identity", SeededRng(0))
+    wild = ModelParams(((tame.layers[0][0] * 1e200, tame.layers[0][1]),))
+    runs = [
+        Run(train, train, train, p, cfg, lambda params, rng: range(train.n), 20, name, record=False)
+        for p, name in ((tame, "tame"), (wild, "wild"))
+    ]
+    errors = []
+    for per_epoch in (True, False):
+        windows = track_windows(monkeypatch, per_epoch)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^wild, epoch ") as exc:
+            _selection_loop(runs, 20)
+        errors.append(str(exc.value))
+        assert windows == [20]
+    epoch = int(errors[0].split("epoch ")[1].split(":")[0])
+    assert 0 < epoch < 19 and errors[0] == errors[1]
+    assert errors[1] == f"wild, epoch {epoch}: parameters must be finite"
 
 
 def test_online_loop_k_equals_n_matches_plain_sgd(blob_data):

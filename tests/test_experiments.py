@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from glister.active import initial_labeled, run_active
-from glister.data import SplitSpec, standardize
+from glister.data import SplitSpec
 from glister.experiments import (
     DataSpec,
     active_trace_to_csv,
@@ -178,11 +178,8 @@ def test_active_lockstep_cells_match_run_active_alone(tmp_path):
 @pytest.mark.parametrize("scaled", [False, True])
 def test_row_norm_bound_is_that_of_the_final_train_rows(scaled):
     """`build_datasets` reports the largest row norm of the train rows it
-    returns; when it standardizes, that is `standardize`'s own bound."""
+    returns, standardized or not."""
     split = SplitSpec(0.8, 0.1, 0.1, seed=1)
     data = DataSpec("separable-2", 25, 4, split, (0.2, None), None, scaled)
     train, _, _, bound = build_datasets(data, 1)
     assert bound == float(np.sqrt((train.features**2).sum(axis=1)).max())
-    if scaled:
-        raw_train, raw_val, raw_test, _ = build_datasets(replace(data, standardize=False), 1)
-        assert bound == standardize(raw_train, (raw_val, raw_test))[2].max_row_norm

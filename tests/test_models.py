@@ -20,6 +20,7 @@ from glister.models import (
     output_width,
     sgd_epoch,
     sgd_epoch_stack,
+    sgd_window_stack,
 )
 from glister.numerics import SeededRng, finite_diff_grad
 
@@ -345,6 +346,55 @@ def test_sgd_epoch_stack_matches_each_run_alone(kind, arch, runs, size, batch_si
     assert len(got) == runs
     for g, w in zip(got, want):
         _assert_same_params(g, w)
+
+
+@pytest.mark.parametrize("arch", ["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ALL_LOSSES)
+@pytest.mark.parametrize("runs", [1, 3])
+def test_sgd_window_stack_matches_one_epoch_stack_per_epoch(kind, arch, runs):
+    """A window of E epochs steps every run bit for bit as E calls of
+    `sgd_epoch_stack` with the same shuffle streams."""
+    datasets, params = _stack_instance(kind, arch, runs, seed=3 + runs)
+    subsets = [SeededRng(60 + i).sample(np.arange(ds.n), 13) for i, ds in enumerate(datasets)]
+    epoch_rngs = [[SeededRng(9 + i).split(t) for i in range(runs)] for t in range(4)]
+    want = list(params)
+    for rngs in epoch_rngs:
+        want = sgd_epoch_stack(want, datasets, subsets, 0.05, 4, rngs, kind)
+    epoch_rngs = [[SeededRng(9 + i).split(t) for i in range(runs)] for t in range(4)]
+    got = sgd_window_stack(
+        params, [ds.features[s] for ds, s in zip(datasets, subsets)],
+        [ds.labels[s] for ds, s in zip(datasets, subsets)], 0.05, 4, epoch_rngs, kind,
+    )
+    for g, w in zip(got, want):
+        _assert_same_params(g, w)
+
+
+def test_sgd_window_stack_names_the_run_and_epoch_that_diverged():
+    """A run that goes non-finite mid-window raises at the end of the epoch
+    where it did, prefixed with that epoch's name for it."""
+    ds = gen_synthetic("separable-2", 20, seed=1)
+    tame = init_params([2, 1], "identity", SeededRng(0))
+    wild = ModelParams(((tame.layers[0][0] * 1e200, tame.layers[0][1]),))
+    rows = list(range(ds.n))
+    diverged = None
+    p = wild
+    with np.errstate(all="ignore"):
+        for t in range(20):  # the epoch where the wild run diverges alone
+            try:
+                p = sgd_epoch(p, ds, rows, 0.3, 4, SeededRng(1).split(t), LossKind.SQUARED)
+            except ValueError:
+                diverged = t
+                break
+        assert diverged is not None and 0 < diverged < 19
+        p = tame
+        for t in range(20):  # the tame run stays finite for the whole window
+            p = sgd_epoch(p, ds, rows, 0.3, 4, SeededRng(2).split(t), LossKind.SQUARED)
+        epoch_rngs = [[SeededRng(2).split(t), SeededRng(1).split(t)] for t in range(20)]
+        names = [[f"run a, epoch {t}", f"run b, epoch {t}"] for t in range(20)]
+        message = f"^run b, epoch {diverged}: parameters must be finite"
+        with pytest.raises(ValueError, match=message):
+            sgd_window_stack([tame, wild], [ds.features] * 2, [ds.labels] * 2, 0.3, 4,
+                             epoch_rngs, LossKind.SQUARED, names)
 
 
 def test_sgd_epoch_stack_rejects_subsets_of_different_sizes():

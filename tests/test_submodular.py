@@ -22,6 +22,8 @@ from glister.submodular import (
     stochastic_greedy,
 )
 
+from test_numerics import same_bits
+
 
 def modular_oracle(weights, labels=None):
     w = np.asarray(weights, dtype=float)
@@ -649,6 +651,22 @@ def test_facility_location_marginals_match_marginal_bitwise(which):
             assert np.array_equal(block, rows)
             mixed = cands[::-7]  # an unsorted block, as the heap pops it
             assert np.array_equal(f.marginals(mixed, subset), rows[mixed])
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_facility_location_empty_set_gains_equal_the_clamped_path(which):
+    """On the empty set `marginals` skips subtracting the zero coverage and
+    the clamp at 0: every entry of the similarities is >= +0.0, so the gains
+    are bit for bit those of the path that takes both steps."""
+    for seed in (1, 2):
+        f = fl_factories(seed, **_LARGE_FL)[which]()
+        assert (f._sim >= 0.0).all() and not np.signbit(f._sim).any()
+        for cands in (np.arange(f.n), np.arange(f.n)[::-7]):
+            block = f._sim[cands] - np.zeros(f._sim.shape[1])
+            clamped = np.maximum(block, 0.0, out=block).sum(axis=1)
+            got = f.marginals(cands, [])
+            assert same_bits(got, clamped)
+            assert same_bits(got, f.marginals(cands, np.array([], dtype=np.int64)))
 
 
 def test_lazy_greedy_blocks_match_one_at_a_time_loop():

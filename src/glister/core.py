@@ -546,8 +546,8 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     stepped together; returns (params, subset, trace) per run.
 
     Epoch t: each run calls ``select(params, rng)`` when t mod its `every`
-    == 0 and sorts the subset; then SGD runs one epoch of mini-batch SGD for
-    every run on its subset; then each run that keeps `record`s is
+    == 0 and sorts the subset; then every run takes one epoch of
+    mini-batch SGD on its subset; then each run that keeps `record`s is
     evaluated and gets its own record.  Run i draws selections from the
     stream SeededRng(seed).split(_SELECT_STREAM + t) and SGD from split(t)
     of its own seed, so each run's trace is the one it has alone (none

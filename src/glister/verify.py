@@ -663,7 +663,8 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     reproducibility of the in-place step shows here.  Cells stepped in
     lockstep must give the traces they give alone, so a build whose stacked
     products differ from the per-run ones shows here too; so must active
-    runs on a tiny pool, in their round traces and final metrics."""
+    runs on a tiny pool, in their round traces and final metrics, stacked
+    within one seed and across two."""
     checks = []
     full = gen_synthetic("separable-2", 100, seed + 3)
     train, val, test = split(full, SplitSpec(0.8, 0.1, 0.1, seed=1))
@@ -693,11 +694,10 @@ def suite_determinism(seed: int = 0) -> list[Check]:
     checks.append(Check("lockstep active runs match solo runs", all(same),
                         ", ".join(s for s, ok in zip(ACQUIRE_STRATEGIES, same) if not ok)))
     # two seeds in one stack, each with its own seed labels, as criterion 7 trains
-    seeds = (seed, seed + 1)
     per_seed = [
         (train, val, test, initial_labeled(train, 6, SeededRng(s).split(71)), spec,
          replace(cfg, budget_frac=None, seed=s), 2, 5, 3)
-        for s in seeds
+        for s in (seed, seed + 1)
     ]
     cross = [(s, a, active_run(s, *a)) for a in per_seed for s in ("glister", "random")]
     finals = train_active([active for _, _, active in cross], 9)

@@ -32,6 +32,7 @@ from glister.models import (
     last_layer_per_sample_grads,
     output_width,
     sgd_epoch,
+    sgd_window_stack,
 )
 from glister.numerics import SeededRng
 from glister.submodular import (
@@ -447,12 +448,11 @@ def track_windows(monkeypatch, per_epoch=False) -> list[int]:
     order.  With `per_epoch`, each window is stepped instead as one
     `sgd_epoch` call per run and epoch, the reference for the windows."""
     windows = []
-    stack = core.sgd_window_stack
 
     def step(params, features, labels, lr, batch_size, epoch_rngs, kind, names):
         windows.append(len(epoch_rngs))
         if not per_epoch:
-            return stack(params, features, labels, lr, batch_size, epoch_rngs, kind, names)
+            return sgd_window_stack(params, features, labels, lr, batch_size, epoch_rngs, kind, names)
         for rngs, epoch_names in zip(epoch_rngs, names):
             stepped = []
             for p, x, y, rng, name in zip(params, features, labels, rngs, epoch_names):

@@ -555,8 +555,7 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     architecture and subset size.  A stack whose runs keep no records
     reads nothing between selections, so one `sgd_window_stack` call steps
     it through each window of epochs up to the next epoch where any run
-    selects; a stack with a recording run takes one-epoch windows.  Every
-    window trains on the subset rows gathered at the selection.  `sel_s`
+    selects; a stack with a recording run takes one-epoch windows.  `sel_s`
     times only the run's `select` call; its `monitor` then fills the
     selection epoch's monitor columns.  `wall_s` is the elapsed time of the
     whole list, selections included, up to the end of the epoch's SGD; the
@@ -572,7 +571,7 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
     roots = [SeededRng(r.cfg.seed) for r in runs]
     params = [r.params for r in runs]
     subsets: list[list[int]] = [[] for _ in runs]
-    held: list[tuple] = [()] * len(runs)  # (rows, labels, digest) of each subset
+    held: list[tuple] = [()] * len(runs)  # (indices, rows, labels, digest) of each subset
     traces = [RunTrace(lr=cfg.lr) for _ in runs]
     recording = any(r.record for r in runs)
     start = time.perf_counter()
@@ -590,20 +589,23 @@ def _selection_loop(runs: list[Run], epochs: int) -> list[tuple[ModelParams, lis
                 sel_s[i] = time.perf_counter() - t0
                 # the subset holds until the next selection, and so do these
                 subset = subsets[i]
-                held[i] = (run.train.features[subset], run.train.labels[subset], subset_digest(subset))
+                held[i] = (
+                    np.asarray(subset, dtype=np.int64), run.train.features[subset], run.train.labels[subset],
+                    subset_digest(subset),
+                )
                 if run.monitor is not None:
                     columns[i] = run.monitor(params[i], subset)
         stop = t + 1 if recording else min([epochs] + [(t // r.every + 1) * r.every for r in runs])
         window = range(t, stop)
         t0 = time.perf_counter()
         params = sgd_window_stack(
-            params, [h[0] for h in held], [h[1] for h in held], cfg.lr, cfg.batch_size,
+            params, [r.train for r in runs], [h[0] for h in held], cfg.lr, cfg.batch_size,
             [[root.split(e) for root in roots] for e in window], cfg.loss,
             [[f"{r.name}, epoch {e}" for r in runs] for e in window],
         )
         end = time.perf_counter()
         wall_s = end - start
-        for run, p, (sub_x, sub_y, digest), s, cols, trace in zip(
+        for run, p, (_, sub_x, sub_y, digest), s, cols, trace in zip(
             runs, params, held, sel_s, columns, traces
         ):
             trace.sgd_s += end - t0

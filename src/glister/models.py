@@ -327,21 +327,17 @@ def sgd_epoch_stack(
     names=None,
 ) -> list[ModelParams]:
     """One SGD epoch for each of S independent runs, stepped together: the
-    one-epoch window of `sgd_window_stack` on the rows `subsets[i]` of
-    `datasets[i]`, with run i shuffled by `rngs[i]` and its errors prefixed
-    with `names[i]`."""
-    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    one-epoch window of `sgd_window_stack`, with run i shuffled by
+    `rngs[i]` and its errors prefixed with `names[i]`."""
     return sgd_window_stack(
-        params, [ds.features[s] for ds, s in zip(datasets, subsets)],
-        [ds.labels[s] for ds, s in zip(datasets, subsets)], lr, batch_size, [rngs], kind,
-        None if names is None else [names],
+        params, datasets, subsets, lr, batch_size, [rngs], kind, None if names is None else [names]
     )
 
 
 def sgd_window_stack(
     params,
-    features,
-    labels,
+    datasets,
+    subsets,
     lr: float,
     batch_size: int,
     epoch_rngs,
@@ -350,37 +346,39 @@ def sgd_window_stack(
 ) -> list[ModelParams]:
     """E SGD epochs for each of S independent runs, stepped together.
 
-    Run i trains `params[i]` on its subset's rows `features[i]` and
-    `labels[i]`; epoch e visits them in the order `epoch_rngs[e][i].shuffle`
-    gives the subset, exactly as the run would alone.  Every run needs the
-    same architecture and a subset of the same size, so that batch j of
-    every run is one (S, batch, ·) slice.  The window checks and encodes
-    the labels once and keeps every run's `theta` in one row of a private
-    buffer; each epoch gathers only the shuffled positions, as shuffling
-    `arange(size)` draws the subset's permutation.  Each batch steps every
-    parameter with one `grad *= lr; theta -= grad`, which rounds exactly as
-    `w - lr * gw`; a stacked matmul makes one BLAS call per run, the same
-    call as the run's own 2-D product; and `np.maximum.reduce` and
-    `np.add.reduce` give the values of `row_max` and `row_sum`.  So every
-    run's parameters are bit for bit those of per-batch `grad_full` steps
-    alone.  After each epoch a run with a non-finite parameter raises the
-    `ModelParams` ValueError prefixed with `names[e][i]`.
+    Run i trains `params[i]` on the rows `subsets[i]` of `datasets[i]`;
+    epoch e visits them in the order `epoch_rngs[e][i].shuffle` gives the
+    subset, exactly as the run would alone.  Every run needs the same
+    architecture and a subset of the same size, so that batch j of every
+    run is one (S, batch, ·) slice.  The window checks and encodes the
+    subset labels once and keeps every run's `theta` in one row of a
+    private buffer; each epoch shuffles only the positions, as shuffling
+    `arange(size)` draws the subset's permutation, and gathers those rows.
+    Each batch steps every parameter with one `grad *= lr; theta -= grad`,
+    which rounds exactly as `w - lr * gw`; a stacked matmul makes one BLAS
+    call per run, the same call as the run's own 2-D product; and
+    `np.maximum.reduce` and `np.add.reduce` give the values of `row_max`
+    and `row_sum`.  So every run's parameters are bit for bit those of
+    per-batch `grad_full` steps alone.  After each epoch a run with a
+    non-finite parameter raises the `ModelParams` ValueError prefixed with
+    `names[e][i]`.
     """
-    size = len(labels[0])
+    subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
+    size = subsets[0].size
     if size == 0:
         raise ValueError("empty subset")
-    if any(len(y) != size for y in labels):
+    if any(s.size != size for s in subsets):
         raise ValueError("the runs of a stack need subsets of one size")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     first = params[0]
     shapes = [w.shape for w, _ in first.layers]
-    for p, x in zip(params, features):
+    for p, ds in zip(params, datasets):
         if p.activation != first.activation or [w.shape for w, _ in p.layers] != shapes:
             raise ValueError("the runs of a stack need one architecture")
-        if x.shape[1] != p.input_dim:
+        if ds.features.shape[1] != p.input_dim:
             raise ValueError("input width does not match first layer")
-    targets = [_targets(y, kind, first.out_dim) for y in labels]
+    targets = [_targets(ds.labels[s], kind, first.out_dim) for ds, s in zip(datasets, subsets)]
     x = np.empty((len(params), size, shapes[0][0]))
     t = np.empty((len(params), size, targets[0].shape[1]))
     theta = np.array([p.theta for p in params])
@@ -392,7 +390,7 @@ def sgd_window_stack(
     for e, rngs in enumerate(epoch_rngs):
         for i, rng in enumerate(rngs):
             order = rng.shuffle(positions)
-            np.take(features[i], order, axis=0, out=x[i])
+            np.take(datasets[i].features, subsets[i][order], axis=0, out=x[i])
             np.take(targets[i], order, axis=0, out=t[i])
         for start in range(0, size, batch_size):
             h = x[:, start:start + batch_size]

@@ -449,16 +449,15 @@ def track_windows(monkeypatch, per_epoch=False) -> list[int]:
     `sgd_epoch` call per run and epoch, the reference for the windows."""
     windows = []
 
-    def step(params, features, labels, lr, batch_size, epoch_rngs, kind, names):
+    def step(params, datasets, subsets, lr, batch_size, epoch_rngs, kind, names):
         windows.append(len(epoch_rngs))
         if not per_epoch:
-            return sgd_window_stack(params, features, labels, lr, batch_size, epoch_rngs, kind, names)
+            return sgd_window_stack(params, datasets, subsets, lr, batch_size, epoch_rngs, kind, names)
         for rngs, epoch_names in zip(epoch_rngs, names):
             stepped = []
-            for p, x, y, rng, name in zip(params, features, labels, rngs, epoch_names):
+            for p, ds, subset, rng, name in zip(params, datasets, subsets, rngs, epoch_names):
                 try:
-                    ds = Dataset(x, y, int(y.max()) + 1)
-                    stepped.append(sgd_epoch(p, ds, range(len(y)), lr, batch_size, rng, kind))
+                    stepped.append(sgd_epoch(p, ds, subset, lr, batch_size, rng, kind))
                 except ValueError as exc:
                     raise ValueError(f"{name}: {exc}") from None
             params = stepped

@@ -361,10 +361,7 @@ def test_sgd_window_stack_matches_one_epoch_stack_per_epoch(kind, arch, runs):
     for rngs in epoch_rngs:
         want = sgd_epoch_stack(want, datasets, subsets, 0.05, 4, rngs, kind)
     epoch_rngs = [[SeededRng(9 + i).split(t) for i in range(runs)] for t in range(4)]
-    got = sgd_window_stack(
-        params, [ds.features[s] for ds, s in zip(datasets, subsets)],
-        [ds.labels[s] for ds, s in zip(datasets, subsets)], 0.05, 4, epoch_rngs, kind,
-    )
+    got = sgd_window_stack(params, datasets, subsets, 0.05, 4, epoch_rngs, kind)
     for g, w in zip(got, want):
         _assert_same_params(g, w)
 
@@ -393,8 +390,7 @@ def test_sgd_window_stack_names_the_run_and_epoch_that_diverged():
         names = [[f"run a, epoch {t}", f"run b, epoch {t}"] for t in range(20)]
         message = f"^run b, epoch {diverged}: parameters must be finite"
         with pytest.raises(ValueError, match=message):
-            sgd_window_stack([tame, wild], [ds.features] * 2, [ds.labels] * 2, 0.3, 4,
-                             epoch_rngs, LossKind.SQUARED, names)
+            sgd_window_stack([tame, wild], [ds, ds], [rows, rows], 0.3, 4, epoch_rngs, LossKind.SQUARED, names)
 
 
 def test_sgd_epoch_stack_rejects_subsets_of_different_sizes():
